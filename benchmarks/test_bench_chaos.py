@@ -13,10 +13,10 @@ import json
 import pathlib
 import statistics
 
-from repro.chaos import ChaosConfig, ChaosTrialSpec, run_chaos_trial
-from repro.chaos import spec_from_chaos
+from repro.analysis import protocol_spec
+from repro.chaos import ChaosConfig, injection_counts
 from repro.obs.campaign import SCHEMA_VERSION as ARTIFACT_SCHEMA_VERSION
-from repro.perf import ENGINE_VERSION
+from repro.perf import ENGINE_VERSION, execute_trial
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 
@@ -29,8 +29,16 @@ MAX_STEPS = 400_000
 _RESULTS: dict = {}
 
 
+def _trial(protocol, seed, **knobs):
+    """One chaotic trial: the protocol's ordinary spec plus a chaos field."""
+    return execute_trial(protocol_spec(
+        protocol, N_PROCESSES, seed, chaos=ChaosConfig(seed=seed, **knobs),
+        max_steps=MAX_STEPS,
+    ))
+
+
 def _cell(results):
-    decided = [r for r in results if r.decided]
+    decided = [r for r in results if "termination" not in r.violations]
     return {
         "trials": len(results),
         "termination_rate": len(decided) / len(results),
@@ -41,9 +49,9 @@ def _cell(results):
         "mean_total_steps": round(
             statistics.mean(r.total_steps for r in results), 1
         ),
-        "mean_dropped": round(
-            statistics.mean(r.messages_dropped for r in results), 1
-        ),
+        "mean_dropped": round(statistics.mean(
+            injection_counts(r.metrics)["messages_dropped"] for r in results
+        ), 1),
     }
 
 
@@ -52,13 +60,7 @@ def test_chaos_lying_prefix_grid():
     safety or termination loss."""
     grid = {}
     for lying in LYING_PREFIXES:
-        results = [
-            run_chaos_trial(ChaosTrialSpec(
-                "fig1", N_PROCESSES, seed=seed, lying_prefix=lying,
-                max_steps=MAX_STEPS,
-            ))
-            for seed in SEEDS
-        ]
+        results = [_trial("fig1", seed, lying_prefix=lying) for seed in SEEDS]
         assert all(r.ok for r in results), [r.violations for r in results]
         grid[str(lying)] = _cell(results)
     baseline = grid[str(LYING_PREFIXES[0])]["mean_decision_latency"]
@@ -77,10 +79,7 @@ def test_chaos_drop_rate_grid():
     grid = {}
     for drop in DROP_RATES:
         results = [
-            run_chaos_trial(ChaosTrialSpec(
-                "abd-converge", N_PROCESSES, seed=seed, drop_rate=drop,
-                reorder_rate=drop / 2, max_steps=MAX_STEPS,
-            ))
+            _trial("abd-converge", seed, drop_rate=drop, reorder_rate=drop / 2)
             for seed in SEEDS
         ]
         assert all(r.ok for r in results), [r.violations for r in results]
@@ -100,21 +99,23 @@ def test_chaos_max_severity_throughput(benchmark):
     """Wall time of one maximum-severity Fig. 2 trial (every injector at
     its harshest legal setting)."""
 
+    chaos = ChaosConfig.max_severity(seed=1)
+
     def run():
-        result = run_chaos_trial(spec_from_chaos(
-            "fig2", N_PROCESSES, 1, ChaosConfig.max_severity(seed=1),
-            max_steps=MAX_STEPS,
+        result = execute_trial(protocol_spec(
+            "fig2", N_PROCESSES, 1, chaos=chaos, max_steps=MAX_STEPS,
         ))
         assert result.ok, result.violations
         return result
 
     result = benchmark(run)
+    counts = injection_counts(result.metrics)
     _RESULTS["max_severity_fig2"] = {
-        "chaos": ChaosConfig.max_severity(seed=1).to_dict(),
+        "chaos": chaos.to_dict(),
         "total_steps": result.total_steps,
         "last_decision_time": result.last_decision_time,
-        "bursts": result.bursts,
-        "starvations": result.starvations,
+        "bursts": counts["bursts"],
+        "starvations": counts["starvations"],
     }
 
 

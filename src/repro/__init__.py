@@ -31,7 +31,8 @@ shared-memory system:
   reduction, crash-pattern sweeping, and replayable counterexamples;
 * :mod:`repro.chaos` — spec-conformant fault injection: lying-prefix
   detector histories, a faulty network under the ABD safety envelope,
-  and a fairness-bounded chaos scheduler.
+  and a fairness-bounded chaos scheduler, installed by the ordinary trial
+  drivers when a spec carries ``chaos=ChaosConfig(...)``.
 
 Quickstart::
 
@@ -53,6 +54,7 @@ Quickstart::
 """
 
 from .analysis import (
+    run_converge_trial,
     run_extraction_trial,
     run_latency_comparison,
     run_set_agreement_trial,
@@ -91,14 +93,7 @@ from .audit import (
     plan_audit,
     run_audit,
 )
-from .chaos import (
-    ChaosConfig,
-    ChaosTrialSpec,
-    FaultyNetwork,
-    LyingHistory,
-    run_chaos_trial,
-    spec_from_chaos,
-)
+from .chaos import ChaosConfig, FaultyNetwork, LyingHistory
 from .messaging import AbdRegisters, Network, abd_snapshot_api
 from .detectors import (
     AntiOmegaSpec,
@@ -135,6 +130,7 @@ from .obs import (
 )
 from .perf import (
     CheckpointJournal,
+    ConvergeTrialSpec,
     ExtractionTrialSpec,
     QuarantineReport,
     SetAgreementTrialSpec,
@@ -165,7 +161,7 @@ __all__ = [
     "AuditTrialSpec",
     "BOT",
     "ChaosConfig",
-    "ChaosTrialSpec",
+    "ConvergeTrialSpec",
     "CheckReport",
     "CheckpointJournal",
     "ConsensusSpec",
@@ -233,16 +229,15 @@ __all__ = [
     "omega_n",
     "profile_engine",
     "execute_trial",
+    "run_converge_trial",
     "run_extraction_trial",
     "run_latency_comparison",
     "run_protocol",
     "run_set_agreement_trial",
     "plan_audit",
     "run_audit",
-    "run_chaos_trial",
     "run_theorem1_adversary",
     "run_trials",
-    "spec_from_chaos",
     "spec_key",
     "run_theorem5_adversary",
     "stable_emulated_output",

@@ -2,14 +2,26 @@
 
 Each ``run_*_trial`` function executes one seeded run and returns a flat
 result dataclass; the benchmark harness and EXPERIMENTS.md generator sweep
-them over seeds and parameters.
+them over seeds and parameters.  There is one driver per protocol — Fig.
+1/2 set agreement, Fig. 3 extraction, and k-converge over ABD registers —
+and every verdict goes through the :mod:`repro.mc.properties` adapters
+plus an explicit termination check.
+
+Chaos is a parameter of the same drivers.  The paper's detectors are
+*eventual* (Sect. 3.2) and run requirement 5 constrains only the limit of
+a schedule, so a lying detector prefix, a bounded unfair burst or an
+ABD-safe message fault is just another legal history, schedule or network
+for the same trial.  With ``chaos=None`` no injector is installed; with a
+:class:`~repro.chaos.config.ChaosConfig` the injectors wrap the driver's
+own history, scheduler and network — even at zero severity, where they
+must change nothing (the ``chaos-zero`` audit pair checks that).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..core.extraction import make_extraction_protocol, stable_emulated_output
 from ..core.f_resilient import make_upsilon_f_set_agreement
@@ -20,11 +32,21 @@ from ..detectors.omega_k import omega_n
 from ..detectors.upsilon import UpsilonFSpec, UpsilonSpec
 from ..failures.environment import Environment
 from ..failures.pattern import FailurePattern
+from ..mc.properties import (
+    AgreementProperty,
+    ConvergeAgreementProperty,
+    ConvergeValidityProperty,
+    PropertyAdapter,
+    UpsilonOutputProperty,
+    ValidityProperty,
+)
 from ..obs.metrics import MetricsCollector
 from ..runtime.process import System
-from ..runtime.scheduler import RandomScheduler, RoundRobinScheduler
+from ..runtime.scheduler import RandomScheduler, RoundRobinScheduler, Scheduler
 from ..runtime.simulation import Simulation
-from ..tasks.set_agreement import SetAgreementSpec
+
+if TYPE_CHECKING:
+    from ..chaos.config import ChaosConfig
 
 
 def max_round_reached(sim: Simulation) -> int:
@@ -47,6 +69,54 @@ def max_round_reached(sim: Simulation) -> int:
         for r in rounds_in(key):
             best = max(best, r)
     return best
+
+
+def _chaos_scheduler(
+    scheduler: Scheduler, chaos: Optional["ChaosConfig"], bus
+) -> Scheduler:
+    """``scheduler`` itself, or — under chaos — wrapped in a
+    :class:`~repro.chaos.scheduler.ChaosScheduler` after the active
+    knobs are announced on ``bus``."""
+    if chaos is None:
+        return scheduler
+    from ..chaos.config import announce
+    from ..chaos.scheduler import ChaosScheduler
+
+    announce(bus, chaos)
+    return ChaosScheduler(scheduler, chaos, bus=bus)
+
+
+def _lying(
+    spec: DetectorSpec,
+    pattern: FailurePattern,
+    history: History,
+    chaos: Optional["ChaosConfig"],
+) -> History:
+    """``history`` itself, or — under chaos — behind its lying prefix."""
+    if chaos is None:
+        return history
+    from ..chaos.detectors import chaotic_history
+
+    return chaotic_history(spec, pattern, chaos, history)
+
+
+def _decision_verdict(
+    sim: Simulation, adapters: Sequence[PropertyAdapter]
+) -> List[str]:
+    """Safety through ``adapters``, then termination checked explicitly:
+    the adapters' termination property is vacuous on a run that stopped
+    at its step budget, and a stalled run is exactly what must not pass."""
+    violations = [
+        f"{adapter.name}: {reason}"
+        for adapter in adapters
+        if (reason := adapter.check_run(sim))
+    ]
+    if not sim.all_correct_decided():
+        violations.append(
+            f"termination: correct processes undecided after "
+            f"{sim.time} steps"
+        )
+    return violations
 
 
 @dataclasses.dataclass
@@ -82,6 +152,7 @@ def run_set_agreement_trial(
     pattern: Optional[FailurePattern] = None,
     adversarial: bool = False,
     collector: Optional[MetricsCollector] = None,
+    chaos: Optional["ChaosConfig"] = None,
 ) -> SetAgreementResult:
     """One seeded Fig. 1 / Fig. 2 run, checked against f-set agreement.
 
@@ -97,7 +168,10 @@ def run_set_agreement_trial(
 
     Every trial is observed: a fresh
     :class:`~repro.obs.metrics.MetricsCollector` is wired unless one is
-    passed, and the result carries its ``metrics`` snapshot."""
+    passed, and the result carries its ``metrics`` snapshot.
+
+    ``chaos`` puts a lying prefix in front of the history and wraps the
+    scheduler (see the module docstring)."""
     env = Environment(system, f)
     rng = random.Random(f"sa:{system.n_processes}:{f}:{seed}")
     if pattern is None:
@@ -134,20 +208,24 @@ def run_set_agreement_trial(
                 stabilization_time=stabilization_time,
                 stable_value=stable_value,
             )
+    history = _lying(spec, pattern, history, chaos)
     inputs = {p: f"v{p}" for p in system.pids}
     if collector is None:
         collector = MetricsCollector()
+    bus = collector.bus
     sim = Simulation(
         system, protocol, inputs=inputs, pattern=pattern, history=history,
-        bus=collector.bus,
+        bus=bus,
     )
     scheduler = RoundRobinScheduler() if adversarial else RandomScheduler(seed)
     sim.run(
         max_steps=max_steps,
-        scheduler=scheduler,
+        scheduler=_chaos_scheduler(scheduler, chaos, bus),
         stop_when=Simulation.all_correct_decided,
     )
-    verdict = SetAgreementSpec(f).check(sim, inputs)
+    violations = _decision_verdict(
+        sim, (AgreementProperty(f), ValidityProperty(inputs))
+    )
     times = sim.trace.decision_times()
     return SetAgreementResult(
         n_processes=system.n_processes,
@@ -159,15 +237,19 @@ def run_set_agreement_trial(
         last_decision_time=max(times.values()) if times else -1,
         distinct_decisions=len(sim.trace.decided_values()),
         rounds=max_round_reached(sim),
-        ok=verdict.ok,
-        violations="; ".join(str(v) for v in verdict.violations),
+        ok=not violations,
+        violations="; ".join(violations),
         metrics=collector.snapshot(),
     )
 
 
 @dataclasses.dataclass
 class ExtractionResult:
-    """Outcome of one Fig. 3 extraction run."""
+    """Outcome of one Fig. 3 extraction run.
+
+    ``legal`` holds when the correct processes agreed on one stable
+    output, that output is a legal Υf value for the pattern, and every
+    emit of the run stayed in Υf's range."""
 
     detector: str
     f: int
@@ -182,6 +264,10 @@ class ExtractionResult:
         default=None, repr=False, compare=False
     )
 
+    @property
+    def ok(self) -> bool:
+        return self.stabilized and self.legal
+
 
 def run_extraction_trial(
     spec: DetectorSpec,
@@ -192,30 +278,38 @@ def run_extraction_trial(
     shift: int = 0,
     pattern: Optional[FailurePattern] = None,
     collector: Optional[MetricsCollector] = None,
+    chaos: Optional["ChaosConfig"] = None,
 ) -> ExtractionResult:
-    """One seeded Fig. 3 run extracting Υf from ``spec``."""
+    """One seeded Fig. 3 run extracting Υf from ``spec``.
+
+    ``chaos`` puts a lying prefix in front of the source detector's
+    history and wraps the scheduler (see the module docstring)."""
     rng = random.Random(f"ex:{spec.name}:{env.f}:{seed}")
     if pattern is None:
         pattern = env.random_pattern(rng, max_crash_time=stabilization_time or 50)
     history = spec.sample_history(
         pattern, rng, stabilization_time=stabilization_time
     )
+    history = _lying(spec, pattern, history, chaos)
     phi = PhiMap(spec, env)
     if shift:
         phi = ShiftedPhiMap(phi, shift)
     if collector is None:
         collector = MetricsCollector()
+    bus = collector.bus
     sim = Simulation(
         env.system,
         make_extraction_protocol(phi),
         inputs={},
         pattern=pattern,
         history=history,
-        bus=collector.bus,
+        bus=bus,
     )
-    sim.run(max_steps=max_steps, scheduler=RandomScheduler(seed + 1))
+    sim.run(
+        max_steps=max_steps,
+        scheduler=_chaos_scheduler(RandomScheduler(seed + 1), chaos, bus),
+    )
     outputs = stable_emulated_output(sim, pattern)
-    upsilon = UpsilonFSpec(env)
     if outputs is None:
         return ExtractionResult(
             spec.name, env.f, seed, stabilization_time, sim.time,
@@ -225,7 +319,12 @@ def run_extraction_trial(
     values = {frozenset(v) for v in outputs.values()}
     agreed = len(values) == 1
     output = next(iter(values)) if agreed else None
-    legal = agreed and upsilon.is_legal_stable_value(pattern, output)
+    legal = (
+        agreed
+        and UpsilonFSpec(env).is_legal_stable_value(pattern, output)
+        and UpsilonOutputProperty(env.system.pid_set, env.min_correct)
+        .check_run(sim) is None
+    )
     settle = max(
         sim.trace.emit_stabilization_time(pid) or 0 for pid in pattern.correct
     )
@@ -233,6 +332,108 @@ def run_extraction_trial(
         spec.name, env.f, seed, stabilization_time, sim.time,
         stabilized=agreed, output=output, legal=legal,
         output_settle_time=settle,
+        metrics=collector.snapshot(),
+    )
+
+
+@dataclasses.dataclass
+class ConvergeResult:
+    """Outcome of one k-converge run over ABD-emulated registers."""
+
+    n_processes: int
+    f: int
+    seed: int
+    faulty: int
+    total_steps: int
+    last_decision_time: int
+    violations: str
+    metrics: Optional[Dict[str, Any]] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def run_converge_trial(
+    system: System,
+    seed: int,
+    f: Optional[int] = None,
+    max_steps: int = 400_000,
+    collector: Optional[MetricsCollector] = None,
+    chaos: Optional["ChaosConfig"] = None,
+) -> ConvergeResult:
+    """One seeded k-converge run over ABD-emulated registers (E13).
+
+    Message passing emulates the registers only while a majority is
+    correct, so ``f`` is clamped to ``⌊n/2⌋`` (also its default) and the
+    quorum is ``n + 1 − f``.  ``k = max(1, f)`` and the inputs use at most
+    ``k`` distinct values, so every process commits.  ``chaos`` wraps the
+    scheduler and swaps the reliable network for a
+    :class:`~repro.chaos.network.FaultyNetwork`."""
+    from ..core.converge import ConvergeInstance
+    from ..messaging.abd import AbdRegisters, abd_snapshot_api
+    from ..messaging.network import Network
+    from ..runtime.ops import Decide
+
+    n_procs = system.n_processes
+    majority_safe = (n_procs - 1) // 2
+    f = majority_safe if f is None else max(0, min(f, majority_safe))
+    quorum = n_procs - f
+    rng = random.Random(f"cv:{n_procs}:{f}:{seed}")
+    if f:
+        pattern = Environment(system, f).random_pattern(rng, max_crash_time=60)
+    else:
+        pattern = FailurePattern.failure_free(system)
+    k = max(1, f)
+    inputs = {p: f"v{p % k}" for p in system.pids}
+
+    def protocol(ctx, value):
+        abd = AbdRegisters(ctx, quorum=quorum)
+        instance = ConvergeInstance(
+            ("abd", "conv"), k, n_procs,
+            snapshot_factory=lambda name, cells: abd_snapshot_api(
+                abd, name, cells
+            ),
+        )
+        picked, committed = yield from instance.converge(ctx, value)
+        yield Decide((picked, committed))
+        yield from abd.serve()
+
+    if chaos is None:
+        network = Network(system, seed=seed + 101, max_delay=3)
+    else:
+        from ..chaos.network import FaultyNetwork
+
+        network = FaultyNetwork(
+            system, seed=seed + 101, max_delay=3, chaos=chaos,
+            quorum=quorum, protected=pattern.correct,
+        )
+    if collector is None:
+        collector = MetricsCollector()
+    bus = collector.bus
+    sim = Simulation(
+        system, protocol, inputs=inputs, pattern=pattern, network=network,
+        bus=bus,
+    )
+    sim.run(
+        max_steps=max_steps,
+        scheduler=_chaos_scheduler(RandomScheduler(seed), chaos, bus),
+        stop_when=Simulation.all_correct_decided,
+    )
+    violations = _decision_verdict(
+        sim, (ConvergeAgreementProperty(k), ConvergeValidityProperty(inputs))
+    )
+    times = sim.trace.decision_times()
+    return ConvergeResult(
+        n_processes=n_procs,
+        f=f,
+        seed=seed,
+        faulty=len(pattern.faulty),
+        total_steps=sim.time,
+        last_decision_time=max(times.values()) if times else -1,
+        violations="; ".join(violations),
         metrics=collector.snapshot(),
     )
 

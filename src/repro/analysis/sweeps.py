@@ -31,12 +31,16 @@ from typing import (
 )
 
 from ..chaos.config import ChaosConfig
-from ..chaos.trial import PROTOCOLS, ChaosTrialResult, ChaosTrialSpec
 from ..detectors.base import DetectorSpec
 from ..failures.environment import Environment
 from ..perf.cache import TrialCache
 from ..perf.executor import run_trials
-from ..perf.spec import ExtractionTrialSpec, SetAgreementTrialSpec
+from ..perf.spec import (
+    ConvergeTrialSpec,
+    ExtractionTrialSpec,
+    SetAgreementTrialSpec,
+    TrialSpec,
+)
 from ..runtime.process import System
 from .runner import (
     ExtractionResult,
@@ -140,6 +144,51 @@ def extraction_grid(
     ]
 
 
+#: Protocol names a chaos grid accepts (``--protocols``).
+PROTOCOLS = ("fig1", "fig2", "extraction", "abd-converge")
+
+
+def protocol_spec(
+    protocol: str,
+    n_processes: int,
+    seed: int,
+    chaos: Optional[ChaosConfig] = None,
+    f: Optional[int] = None,
+    detector: str = "omega",
+    max_steps: int = 400_000,
+) -> TrialSpec:
+    """The ordinary trial spec behind a :data:`PROTOCOLS` name.
+
+    ``fig1`` is wait-free (f = n); ``fig2`` defaults to f = n − 1;
+    ``extraction`` extracts Υf from ``detector`` (``f = None`` is
+    wait-free); ``abd-converge`` defaults to f = ⌊n/2⌋.  The detector
+    histories are stable from t = 0, so a lying prefix is the only
+    transient detector output.
+    """
+    if protocol == "abd-converge":
+        return ConvergeTrialSpec(
+            n_processes, seed, f=f, max_steps=max_steps, chaos=chaos
+        )
+    if protocol == "extraction":
+        return ExtractionTrialSpec(
+            detector, n_processes, seed, f=f, stabilization_time=0,
+            max_steps=max_steps, chaos=chaos,
+        )
+    if protocol not in PROTOCOLS:
+        raise ValueError(
+            f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}"
+        )
+    n = System(n_processes).n
+    if protocol == "fig1":
+        f = n
+    elif f is None:
+        f = max(1, n - 1)
+    return SetAgreementTrialSpec(
+        n_processes, f, seed, stabilization_time=0, max_steps=max_steps,
+        chaos=chaos,
+    )
+
+
 def chaos_grid(
     protocols: Sequence[str],
     system_sizes: Sequence[int],
@@ -155,13 +204,14 @@ def chaos_grid(
     f: Optional[int] = None,
     detector: str = "omega",
     max_steps: int = 400_000,
-) -> List[ChaosTrialSpec]:
+) -> List[TrialSpec]:
     """Specs for a chaos grid: protocols × sizes × lies × drops × seeds.
 
-    ``protocols`` are :data:`repro.chaos.trial.PROTOCOLS` names; the
-    lying-prefix and drop-rate axes are swept, the remaining chaos knobs
-    are held constant across the grid.  Each spec's chaos seed is its
-    trial seed, so re-running the grid reproduces the same faults.
+    Each point is the protocol's ordinary spec (:func:`protocol_spec`)
+    with ``chaos=ChaosConfig(seed=<trial seed>, …)``; the lying-prefix
+    and drop-rate axes are swept, the remaining chaos knobs are held
+    constant across the grid.  Re-running the grid reproduces the same
+    faults.
     """
     _require_non_empty("protocols", protocols)
     _require_non_empty("system_sizes", system_sizes)
@@ -174,41 +224,28 @@ def chaos_grid(
             "protocols",
             f"unknown protocol names {unknown}; choose from {list(PROTOCOLS)}",
         )
-    specs: List[ChaosTrialSpec] = []
-    for protocol in protocols:
-        for n_procs in system_sizes:
-            for lying in lying_prefixes:
-                for drop in drop_rates:
-                    for seed in seeds:
-                        # Validate the knob combination once per point.
-                        ChaosConfig(
-                            seed=seed,
-                            lying_prefix=lying,
-                            drop_rate=drop,
-                            duplicate_rate=duplicate_rate,
-                            reorder_rate=reorder_rate,
-                            reorder_jitter=reorder_jitter,
-                            burst_length=burst_length,
-                            starvation_window=starvation_window,
-                            fairness_bound=fairness_bound,
-                        )
-                        specs.append(ChaosTrialSpec(
-                            protocol=protocol,
-                            n_processes=n_procs,
-                            seed=seed,
-                            f=f,
-                            detector=detector,
-                            lying_prefix=lying,
-                            drop_rate=drop,
-                            duplicate_rate=duplicate_rate,
-                            reorder_rate=reorder_rate,
-                            reorder_jitter=reorder_jitter,
-                            burst_length=burst_length,
-                            starvation_window=starvation_window,
-                            fairness_bound=fairness_bound,
-                            max_steps=max_steps,
-                        ))
-    return specs
+    return [
+        protocol_spec(
+            protocol, n_procs, seed,
+            chaos=ChaosConfig(
+                seed=seed,
+                lying_prefix=lying,
+                drop_rate=drop,
+                duplicate_rate=duplicate_rate,
+                reorder_rate=reorder_rate,
+                reorder_jitter=reorder_jitter,
+                burst_length=burst_length,
+                starvation_window=starvation_window,
+                fairness_bound=fairness_bound,
+            ),
+            f=f, detector=detector, max_steps=max_steps,
+        )
+        for protocol in protocols
+        for n_procs in system_sizes
+        for lying in lying_prefixes
+        for drop in drop_rates
+        for seed in seeds
+    ]
 
 
 # -- sweep drivers ---------------------------------------------------------
@@ -304,7 +341,7 @@ def sweep_chaos(
     cache: Optional[TrialCache] = None,
     batch_size: Optional[int] = None,
     **grid_kwargs,
-) -> List[Optional[ChaosTrialResult]]:
+) -> List[Optional[object]]:
     """Grid of chaos trials (see :func:`chaos_grid` for the axes).
 
     Extra keyword arguments — including the resilience knobs ``retries``,

@@ -16,8 +16,10 @@ pair               claim
 ``replay``           a live run under ``RandomScheduler`` and a
                      ``run_script`` replay of its recorded schedule
                      produce the same trace and state fingerprint.
-``chaos-zero``       a zero-severity chaos run equals its pristine twin
-                     (no chaos wrappers at all), step for step.
+``chaos-zero``       a trial spec with ``chaos=ChaosConfig(seed=s)`` (every
+                     injector installed, every knob at zero) equals its
+                     ``chaos=None`` twin, result and step for step — for
+                     set agreement, extraction and ABD k-converge.
 ``faulty-infra``     a farm campaign drained under infrastructure chaos
                      (lock storms, a torn-process kill, cache ENOSPC)
                      settles every trial exactly once, byte-identical to
@@ -57,7 +59,7 @@ PAIRS_PER_CASE = {
     "cache": 8,
     "substrate": 2,
     "replay": 1,
-    "chaos-zero": 1,
+    "chaos-zero": 3,
     "faulty-infra": 3,
 }
 
@@ -533,65 +535,63 @@ def _replay(case: int, seed: int, sabotage: str) -> CaseOutcome:
     return outcome
 
 
-# -- zero-severity chaos vs pristine -----------------------------------------
+# -- zero-severity chaos vs no chaos ------------------------------------------
+
+
+class _StepLog:
+    """Records every ``StepTaken`` a run publishes; quacks like a trace
+    for :func:`~repro.audit.diff.first_trace_divergence`."""
+
+    def __init__(self, bus) -> None:
+        from ..obs.events import StepTaken
+
+        self.steps: List[Any] = []
+        bus.subscribe(self.steps.append, (StepTaken,))
 
 
 def _chaos_zero(case: int, seed: int, sabotage: str) -> CaseOutcome:
-    from ..chaos.trial import PROTOCOLS, ChaosTrialSpec, run_chaos_trial
+    from ..analysis.sweeps import protocol_spec
+    from ..chaos.config import ChaosConfig
+    from ..obs.metrics import MetricsCollector
+    from ..perf.spec import execute_trial
 
     rng = _case_rng("chaos-zero", seed, case)
-    protocol = rng.choice(PROTOCOLS)
-    spec = ChaosTrialSpec(
-        protocol=protocol,
-        n_processes=rng.choice((3, 4)),
-        seed=rng.randrange(1_000_000),
-        f=None,
-        detector=rng.choice(("omega", "omega_n", "diamond_p")),
-        max_steps=60_000 if protocol != "abd-converge" else 400_000,
-    )
-    chaotic_sims: List[Any] = []
-    pristine_sims: List[Any] = []
-    chaotic = run_chaos_trial(spec, sim_out=chaotic_sims)
-    pristine = run_chaos_trial(spec, pristine=True, sim_out=pristine_sims)
-
+    n_processes = rng.choice((3, 4))
+    trial_seed = rng.randrange(1_000_000)
+    plain_specs = [
+        protocol_spec(rng.choice(("fig1", "fig2")), n_processes, trial_seed,
+                      max_steps=60_000),
+        protocol_spec("extraction", n_processes, trial_seed,
+                      detector=rng.choice(("omega", "omega_n", "diamond_p")),
+                      max_steps=20_000),
+        protocol_spec("abd-converge", n_processes, trial_seed),
+    ]
     outcome = CaseOutcome(trials=PAIRS_PER_CASE["chaos-zero"])
-    if chaotic != pristine:
-        outcome.divergences.append(
-            Divergence(
-                pair="chaos-zero",
-                case=case,
-                seed=seed,
-                kind="result",
-                detail=(
-                    f"{protocol} n={spec.n_processes} seed={spec.seed}: "
-                    f"zero-severity chaos differs from pristine run"
-                ),
-                spec=dict(dataclasses.asdict(spec), kind=spec.kind),
-                fields=diff_result_fields(chaotic, pristine),
-            )
-        )
-    else:
-        trace_diff = first_trace_divergence(
-            chaotic_sims[0].trace, pristine_sims[0].trace
-        )
+    for plain in plain_specs:
+        chaotic = dataclasses.replace(plain, chaos=ChaosConfig(seed=trial_seed))
+        runs = []
+        for spec in (chaotic, plain):
+            collector = MetricsCollector()
+            log = _StepLog(collector.bus)
+            runs.append((execute_trial(spec, collector=collector), log))
+        (result_a, log_a), (result_b, log_b) = runs
+        where = (f"{plain.kind} n={n_processes} seed={trial_seed}: "
+                 f"zero-severity chaos vs no chaos")
+        spec_dict = dict(dataclasses.asdict(chaotic), kind=chaotic.kind)
+        if result_a != result_b:
+            outcome.divergences.append(Divergence(
+                pair="chaos-zero", case=case, seed=seed, kind="result",
+                detail=f"{where}: results differ", spec=spec_dict,
+                fields=diff_result_fields(result_a, result_b),
+            ))
+        trace_diff = first_trace_divergence(log_a, log_b)
         if trace_diff is not None:
-            outcome.divergences.append(
-                Divergence(
-                    pair="chaos-zero",
-                    case=case,
-                    seed=seed,
-                    kind="trace",
-                    detail=(
-                        f"{protocol} n={spec.n_processes} "
-                        f"seed={spec.seed}: results equal but traces "
-                        f"differ step-for-step"
-                    ),
-                    spec=dict(dataclasses.asdict(spec), kind=spec.kind),
-                    first_step=trace_diff[0],
-                    step_a=trace_diff[1],
-                    step_b=trace_diff[2],
-                )
-            )
+            outcome.divergences.append(Divergence(
+                pair="chaos-zero", case=case, seed=seed, kind="trace",
+                detail=f"{where}: traces differ step for step",
+                spec=spec_dict, first_step=trace_diff[0],
+                step_a=trace_diff[1], step_b=trace_diff[2],
+            ))
     return outcome
 
 

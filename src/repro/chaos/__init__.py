@@ -7,17 +7,18 @@ model — a property violation under chaos is a real bug.  Three injectors,
 one knob set:
 
 * :mod:`repro.chaos.detectors` — :class:`LyingHistory`, worst-case-biased
-  detector prefixes, composable over Υ/Υf/Ω/Ωk via
-  ``DetectorSpec.sample_chaotic_history``;
+  detector prefixes in front of any legal history, composable over
+  Υ/Υf/Ω/Ωk via :func:`chaotic_history`;
 * :mod:`repro.chaos.network` — :class:`FaultyNetwork`, seeded
   drop/duplicate/reorder with an explicit ABD safety envelope;
 * :mod:`repro.chaos.scheduler` — :class:`ChaosScheduler`, adversarial
   bursts and starvation windows under a hard fairness bound.
 
-:mod:`repro.chaos.trial` packages all three into picklable
-:class:`ChaosTrialSpec` trials that run on the (resilient)
-:func:`repro.perf.executor.run_trials` harness; ``python -m repro sweep
-chaos`` is the CLI front end.
+The trial drivers of :mod:`repro.analysis.runner` install all three
+when a trial spec carries ``chaos=ChaosConfig(...)`` — a chaotic trial is
+the ordinary Fig. 1/2/3 or ABD k-converge trial with a lying history, a
+perturbed schedule and a faulty network; ``python -m repro sweep chaos``
+is the CLI front end.
 
 :mod:`repro.chaos.infra` turns the same discipline on the experiment
 infrastructure itself — seeded ``database is locked`` storms, torn-process
@@ -26,7 +27,7 @@ kills at store barriers, cache ENOSPC, ledger tears — with
 invariants under every plan; ``python -m repro chaos infra`` drives it.
 """
 
-from .config import ChaosConfig
+from .config import ChaosConfig, announce, injection_counts
 from .detectors import LyingHistory, chaotic_history, worst_lie
 from .infra import (
     KILL_BARRIERS,
@@ -43,19 +44,10 @@ from .infra import (
 )
 from .network import FaultyNetwork, quorum_critical
 from .scheduler import ChaosScheduler
-from .trial import (
-    PROTOCOLS,
-    ChaosTrialResult,
-    ChaosTrialSpec,
-    run_chaos_trial,
-    spec_from_chaos,
-)
 
 __all__ = [
     "ChaosConfig",
     "ChaosScheduler",
-    "ChaosTrialResult",
-    "ChaosTrialSpec",
     "CrashConsistencyChecker",
     "CrashConsistencyReport",
     "FaultyCache",
@@ -66,13 +58,12 @@ __all__ = [
     "InfraViolation",
     "KILL_BARRIERS",
     "LyingHistory",
-    "PROTOCOLS",
     "SimulatedPowerCut",
+    "announce",
     "chaotic_history",
     "check_store_invariants",
+    "injection_counts",
     "quorum_critical",
-    "run_chaos_trial",
-    "spec_from_chaos",
     "tear_ledger_tail",
     "worst_lie",
 ]

@@ -18,6 +18,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict
 
+#: The severity knobs; a trial announces each non-zero one at t=0.
+KNOBS = ("lying_prefix", "drop_rate", "duplicate_rate", "reorder_rate",
+         "burst_length", "starvation_window")
+
 
 @dataclasses.dataclass(frozen=True)
 class ChaosConfig:
@@ -28,7 +32,7 @@ class ChaosConfig:
     seed:
         Drives every chaos draw.  Chaos randomness is deliberately kept
         on RNG streams separate from the engine's, so ``ChaosConfig()``
-        (all knobs off) reproduces the pristine run bit-for-bit.
+        (all knobs off) reproduces the ``chaos=None`` run bit-for-bit.
     lying_prefix:
         Detector adversary — steps during which the wrapped history may
         output arbitrary range values (including the worst-case lie)
@@ -86,14 +90,7 @@ class ChaosConfig:
     @property
     def any_active(self) -> bool:
         """True when at least one injector has a non-zero knob."""
-        return bool(
-            self.lying_prefix
-            or self.drop_rate
-            or self.duplicate_rate
-            or self.reorder_rate
-            or self.burst_length
-            or self.starvation_window
-        )
+        return any(getattr(self, knob) for knob in KNOBS)
 
     @classmethod
     def max_severity(cls, seed: int = 0) -> "ChaosConfig":
@@ -125,3 +122,33 @@ class ChaosConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosConfig":
         return cls(**data)
+
+
+def announce(bus, chaos: ChaosConfig) -> None:
+    """Publish one ``ChaosInjected(0, knob, setting)`` per active knob."""
+    from ..obs.events import ChaosInjected
+
+    if bus is None or not bus.active:
+        return
+    for knob in KNOBS:
+        setting = getattr(chaos, knob)
+        if setting:
+            bus.publish(ChaosInjected(0, knob, str(setting)))
+
+
+def injection_counts(metrics: Dict[str, Any]) -> Dict[str, int]:
+    """What the injectors did in one trial, read from the trial's metrics
+    snapshot (the network and the scheduler publish every fault)."""
+    counters = metrics["counters"]
+
+    def total(name: str) -> int:
+        return sum(counters.get(name, {}).values())
+
+    perturbations = counters.get("chaos_injections", {})
+    return {
+        "messages_dropped": total("messages_dropped"),
+        "messages_duplicated": total("messages_duplicated"),
+        "messages_delayed": total("messages_delayed"),
+        "bursts": perturbations.get("burst", 0),
+        "starvations": perturbations.get("starvation", 0),
+    }

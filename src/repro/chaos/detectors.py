@@ -5,7 +5,8 @@ in ``D(F)`` as soon as its limit behaviour is right, so any finite prefix
 of arbitrary range values is legal.  :class:`LyingHistory` exploits that
 to the hilt — before ``lie_until`` it outputs a seeded mix of the *worst
 case* value for the wrapped detector and plain noise; from ``lie_until``
-on it defers to a legal stable history.
+on it defers to the legal history it wraps (the one the trial driver
+sampled anyway).
 
 The worst case is detector-specific but derivable from the spec alone:
 
@@ -83,25 +84,17 @@ def chaotic_history(
     spec: DetectorSpec,
     pattern: FailurePattern,
     chaos: ChaosConfig,
-    rng: random.Random,
-    stable_value: Any = None,
-) -> History:
-    """A legal history for ``spec`` with a ``chaos.lying_prefix`` prefix.
+    inner: History,
+) -> LyingHistory:
+    """``inner`` (a legal history for ``spec``) behind a
+    ``chaos.lying_prefix`` lying prefix.
 
-    The post-prefix part is a freshly sampled *stable* history (legal by
-    construction); the prefix mixes the worst-case lie (3 out of 4 draws)
-    with seeded noise-pool values.  With ``lying_prefix == 0`` this is
-    exactly ``spec.sample_history``.
+    The prefix mixes the worst-case lie (3 out of 4 draws) with seeded
+    noise-pool values; every draw comes from ``chaos.seed``, never from
+    the caller's RNG.  The wrapper is installed even at
+    ``lying_prefix == 0``, where it delegates every query to ``inner``.
     """
-    inner = spec.sample_history(
-        pattern, rng,
-        stabilization_time=0,
-        stable_value=stable_value,
-    )
-    if chaos.lying_prefix <= 0:
-        return inner
-    pool = spec.noise_pool(pattern)
-    noise = seeded_noise(chaos.seed ^ rng.randrange(2**31), pool)
+    noise = seeded_noise(chaos.seed, spec.noise_pool(pattern))
     pinned = worst_lie(spec, pattern)
     if pinned is None:
         lie = noise

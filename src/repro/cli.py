@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s_extract.add_argument("--stabilization", type=int, default=60)
     s_extract.add_argument("--seed", type=int, default=0)
 
-    from .chaos.trial import PROTOCOLS as CHAOS_PROTOCOLS
+    from .analysis.sweeps import PROTOCOLS as CHAOS_PROTOCOLS
 
     s_chaos = stats_sub.add_parser(
         "chaos", help="instrumented chaos trial (what was injected, "
@@ -405,7 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mc_check.add_argument("--dedup", action=argparse.BooleanOptionalAction,
                           default=True,
                           help="fingerprint-based visited-state pruning")
-    mc_check.add_argument("--strategy", choices=("dfs", "bfs"), default="dfs")
     mc_check.add_argument("--jobs", type=int, default=1,
                           help="worker processes (parallel root sharding)")
     mc_check.add_argument("--batch-size", type=int, default=None, metavar="N",
@@ -624,13 +623,12 @@ def _grid_from_args(command: str, args):
     Raises :class:`~repro.analysis.sweeps.EmptySweepError` when an axis
     parses empty.
     """
-    import dataclasses
-
     from .analysis.sweeps import (
         chaos_grid,
         extraction_grid,
         set_agreement_grid,
     )
+    from .perf import SabotagedSpec
 
     if command == "set-agreement":
         return set_agreement_grid(
@@ -659,9 +657,7 @@ def _grid_from_args(command: str, args):
         )
         if args.inject_worker_crash is not None:
             victim = args.inject_worker_crash % len(specs)
-            specs[victim] = dataclasses.replace(
-                specs[victim], sabotage="crash"
-            )
+            specs[victim] = SabotagedSpec(specs[victim], "crash")
         return specs
     return extraction_grid(
         detectors=[
@@ -673,6 +669,18 @@ def _grid_from_args(command: str, args):
         stabilization_time=args.stabilization,
         max_steps=args.max_steps,
     )
+
+
+def _mixed_csv(kinds) -> bool:
+    """True (after saying why on stderr) when ``kinds`` holds more than
+    one result kind: a CSV has one set of columns."""
+    kinds = sorted(set(kinds))
+    if len(kinds) < 2:
+        return False
+    print(f"error: --csv holds one result kind, but this run mixes "
+          f"{', '.join(kinds)}; split it (e.g. one --protocols family "
+          f"per sweep)", file=sys.stderr)
+    return True
 
 
 def _open_ledger(args):
@@ -751,7 +759,7 @@ def _cmd_extract(args) -> int:
           f"stabilization={args.stabilization}")
     print(f"extracted Υ^{env.f} output: {output}  "
           f"settle time: {result.output_settle_time}")
-    ok = result.stabilized and result.legal
+    ok = result.ok
     print("extraction:", "OK" if ok else "FAILED")
     return 0 if ok else 1
 
@@ -840,30 +848,35 @@ def _cmd_stats(args) -> int:
             )
             ok = result.ok
         elif args.stats_command == "chaos":
-            from .chaos.trial import ChaosTrialSpec, run_chaos_trial
+            from .analysis.sweeps import protocol_spec
+            from .chaos import ChaosConfig, injection_counts
+            from .perf import execute_trial
 
-            spec = ChaosTrialSpec(
-                protocol=args.protocol,
-                n_processes=args.processes,
+            chaos = ChaosConfig(
                 seed=args.seed,
-                f=args.resilience,
-                detector=args.detector,
                 lying_prefix=args.lying_prefix,
                 drop_rate=args.drop_rate,
                 duplicate_rate=args.duplicate_rate,
                 reorder_rate=args.reorder_rate,
                 burst_length=args.burst,
                 starvation_window=args.starvation,
-                max_steps=args.max_steps,
             )
-            result = run_chaos_trial(spec, collector=collector)
+            result = execute_trial(
+                protocol_spec(
+                    args.protocol, args.processes, args.seed, chaos=chaos,
+                    f=args.resilience, detector=args.detector,
+                    max_steps=args.max_steps,
+                ),
+                collector=collector,
+            )
+            counts = injection_counts(result.metrics)
             headline = (
                 f"chaos  protocol={args.protocol}  n+1={args.processes}  "
                 f"seed={args.seed}  lying_prefix={args.lying_prefix}  "
                 f"drop_rate={args.drop_rate:g}  steps={result.total_steps}  "
-                f"dropped={result.messages_dropped}  "
-                f"duplicated={result.messages_duplicated}  "
-                f"delayed={result.messages_delayed}"
+                f"dropped={counts['messages_dropped']}  "
+                f"duplicated={counts['messages_duplicated']}  "
+                f"delayed={counts['messages_delayed']}"
             )
             ok = result.ok
         else:
@@ -883,7 +896,7 @@ def _cmd_stats(args) -> int:
                 f"seed={args.seed}  steps={result.total_steps}  "
                 f"settle time={result.output_settle_time}"
             )
-            ok = result.stabilized and result.legal
+            ok = result.ok
     finally:
         if sink is not None:
             sink.close()
@@ -957,6 +970,8 @@ def _cmd_sweep(args) -> int:
     except EmptySweepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.csv and _mixed_csv(spec.kind for spec in specs):
+        return 2
 
     # Satellite guard for the farm backend: the store already
     # checkpoints per trial, so a journal would be a second, possibly
@@ -1001,12 +1016,7 @@ def _cmd_sweep(args) -> int:
     wall = time.perf_counter() - start
 
     survivors = [r for r in results if r is not None]
-    if args.sweep_command == "set-agreement":
-        ok_flags = [r.ok for r in survivors]
-    elif args.sweep_command == "chaos":
-        ok_flags = [r.ok for r in survivors]
-    else:
-        ok_flags = [r.stabilized and r.legal for r in survivors]
+    ok_flags = [r.ok for r in survivors]
     all_ok = all(ok_flags)
     quarantined = len(quarantine) if quarantine is not None else 0
 
@@ -1102,7 +1112,6 @@ def _cmd_check(args) -> int:
         max_depth=args.depth,
         por=args.por,
         dedup=args.dedup,
-        strategy=args.strategy,
         require_progress=args.require_progress,
         max_states=args.max_states,
     )
@@ -1453,6 +1462,8 @@ def _cmd_farm(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         survivors = [r for r in results if r is not None]
+        if args.csv and _mixed_csv(type(r).__name__ for r in survivors):
+            return 2
         ok_flags = [result_verdict(r) for r in survivors]
         all_ok = all(ok_flags)
         if args.csv and survivors:

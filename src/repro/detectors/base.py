@@ -223,28 +223,6 @@ class DetectorSpec:
             noise = seeded_noise(rng.randrange(2**31), self.noise_pool(pattern))
         return StableHistory(stable_value, stabilization_time, noise)
 
-    def sample_chaotic_history(
-        self,
-        pattern: FailurePattern,
-        rng: random.Random,
-        chaos,
-        stable_value: Any = None,
-    ) -> History:
-        """Draw a legal history with an adversarial *lying prefix*.
-
-        ``chaos`` is a :class:`repro.chaos.config.ChaosConfig`; before
-        ``chaos.lying_prefix`` the history outputs worst-case-biased
-        noise-pool values, afterwards it is a plain stable history.
-        Legal for every eventual detector — finite prefixes are
-        unconstrained (deferred import: chaos layers on top of the
-        detector framework, not under it).
-        """
-        from ..chaos.detectors import chaotic_history
-
-        return chaotic_history(
-            self, pattern, chaos, rng, stable_value=stable_value
-        )
-
     def sample_locally_stable_history(
         self,
         pattern: FailurePattern,

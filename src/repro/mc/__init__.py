@@ -1,7 +1,7 @@
 """repro.mc — systematic model checking of the paper's constructions.
 
 Where the statistical benches sample schedules, this subsystem
-*enumerates* them: bounded DFS/BFS over every scheduling choice, crash
+*enumerates* them: bounded DFS over every scheduling choice, crash
 subset, and crash time of a small instance, with
 
 * deterministic state fingerprints (:mod:`repro.mc.fingerprint`) so

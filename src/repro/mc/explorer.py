@@ -13,7 +13,7 @@ re-execution of every schedule from scratch:
   same state was already expanded no deeper and with a sleep set no
   larger (the covering condition that keeps sleep sets + caching sound).
 * **Sleep-set partial-order reduction**
-  (:mod:`repro.mc.reduction`) in time-insensitive states, DFS only.
+  (:mod:`repro.mc.reduction`) in time-insensitive states.
 
 Properties are observed through :mod:`repro.mc.properties` hooks.  A
 depth-bounded exploration of a non-terminating protocol is a *bounded
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
@@ -56,12 +55,11 @@ from .reduction import ReductionStats, SleepSetReducer
 
 @dataclasses.dataclass(frozen=True)
 class ExploreConfig:
-    """Exploration bounds and strategy knobs (picklable, JSON-able)."""
+    """Exploration bounds and knobs (picklable, JSON-able)."""
 
     max_depth: int = 40
     por: bool = True
     dedup: bool = True
-    strategy: str = "dfs"  # "dfs" | "bfs"
     first_violation: bool = True
     #: Treat depth-bound exhaustion as a "no-termination" violation.
     require_progress: bool = False
@@ -69,7 +67,7 @@ class ExploreConfig:
     #: Auto-shrink counterexamples via ``minimize_schedule``.
     shrink: bool = True
     #: Backtrack by restoring checkpoints (:mod:`repro.mc.checkpoint`)
-    #: instead of rebuilding + replaying the schedule prefix.  DFS only;
+    #: instead of rebuilding + replaying the schedule prefix;
     #: auto-disabled for message-passing runs.  Identical verdicts and
     #: state counts either way — this is purely a cost knob, kept
     #: switchable so the differential tests can pin the equivalence.
@@ -204,7 +202,7 @@ class Explorer:
     properties:
         :class:`~repro.mc.properties.PropertyAdapter` observers.
     config:
-        Bounds and strategy.
+        Exploration bounds.
     prefix:
         A schedule to replay (with property checks) before exploring —
         the sharding hook used by :class:`~repro.mc.parallel.ParallelExplorer`.
@@ -302,14 +300,7 @@ class Explorer:
 
     def explore(self) -> ExploreResult:
         started = _time.perf_counter()
-        if self.config.strategy == "dfs":
-            self._dfs()
-        elif self.config.strategy == "bfs":
-            self._bfs()
-        else:
-            raise ValueError(
-                f"unknown exploration strategy {self.config.strategy!r}"
-            )
+        self._dfs()
         self.stats.wall_seconds = _time.perf_counter() - started
         self.stats.cpu_seconds = self.stats.wall_seconds
         return ExploreResult(
@@ -456,79 +447,6 @@ class Explorer:
                 if journal is not None:
                     child.cp = journal.checkpoint()
                 frames.append(child)
-
-    # -- BFS -----------------------------------------------------------------
-    #
-    # Breadth-first exploration finds *shortest* violating schedules at the
-    # cost of one full replay per expansion; sleep sets do not apply (they
-    # are a DFS notion), but fingerprint deduplication does — BFS visits
-    # states in nondecreasing depth, so the first visit is minimal.
-
-    def _bfs_enter(self, sim, schedule, visited, queue) -> None:
-        config = self.config
-        stats = self.stats
-        depth = len(schedule)
-        stats.states_visited += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
-        if (
-            config.max_states is not None
-            and stats.states_visited > config.max_states
-        ):
-            stats.truncated = True
-            self._stop = True
-            return
-        eligible = sim.eligible()
-        if not eligible:
-            stats.states_distinct += 1
-            self._leaf(sim, list(schedule), terminal=True)
-            return
-        if depth >= config.max_depth:
-            stats.states_distinct += 1
-            self._leaf(sim, list(schedule), terminal=False)
-            return
-        if self._dedup:
-            fp = self._fingerprint(sim)
-            if fp is not None:
-                if fp in visited:
-                    stats.pruned_visited += 1
-                    return
-                visited.add(fp)
-        stats.states_distinct += 1
-        reduction = self._reducer.stats
-        reduction.enabled += len(eligible)
-        reduction.explored += len(eligible)
-        queue.append(tuple(schedule))
-
-    def _bfs(self) -> None:
-        sim = self._make_sim()
-        self._dedup = self.config.dedup and sim.network is None
-        schedule: List[int] = []
-        if not self._run_prefix(sim, schedule):
-            return
-        visited: set = set()
-        queue: deque = deque()
-        self._bfs_enter(sim, schedule, visited, queue)
-        while queue and not self._stop:
-            base = queue.popleft()
-            sim = self._replay(base)
-            for pid in sim.eligible():
-                if self._stop:
-                    break
-                child = self._replay(base)
-                try:
-                    record = child.step(pid)
-                except ReproError as exc:
-                    self.stats.transitions_explored += 1
-                    self._record_violation(
-                        "error", None, str(exc), list(base) + [pid]
-                    )
-                    continue
-                self.stats.transitions_explored += 1
-                extended = list(base) + [pid]
-                if self._check_step(child, record, extended):
-                    continue
-                self._bfs_enter(child, extended, visited, queue)
 
 
 # -- instance-level checking --------------------------------------------------

@@ -151,11 +151,13 @@ class SchedulerDecision(Event):
 
 @dataclasses.dataclass(slots=True)
 class ChaosInjected(Event):
-    """A chaos knob became active for this run (one event per knob).
+    """A chaos knob is active for this run, or the scheduler perturbed it.
 
-    ``kind`` is the knob (``"lying-prefix"``, ``"drop"``, ``"duplicate"``,
-    ``"reorder"``, ``"burst"``, ``"starvation"``); ``detail`` carries its
-    setting.
+    At ``time = 0`` one event per active knob: ``kind`` is the
+    :class:`~repro.chaos.config.ChaosConfig` field (``"lying_prefix"``,
+    ``"drop_rate"``, …) and ``detail`` its setting.  During the run the
+    chaos scheduler publishes one ``"burst"`` or ``"starvation"`` event
+    per perturbation it starts.
     """
 
     kind: str

@@ -178,21 +178,11 @@ class TrialTelemetry:
 
 
 def result_verdict(result: Any) -> bool:
-    """A trial result's own pass/fail verdict, duck-typed.
-
-    Set-agreement and chaos results carry ``ok``; extraction results are
-    good when ``stabilized and legal``; results with no verdict (mc
-    shards report through counterexamples, audit outcomes through
-    divergences) default to their own ``ok`` property when present, else
-    ``True``.
-    """
-    ok = getattr(result, "ok", None)
-    if ok is not None:
-        return bool(ok)
-    stabilized = getattr(result, "stabilized", None)
-    if stabilized is not None:
-        return bool(stabilized) and bool(getattr(result, "legal", False))
-    return True
+    """A trial result's own pass/fail verdict: its ``ok`` (a field of
+    set-agreement results, a property of extraction, converge and audit
+    results); results with no verdict (mc shards report through
+    counterexamples) count as passed."""
+    return bool(getattr(result, "ok", True))
 
 
 def result_curve_point(result: Any) -> Tuple[int, int]:

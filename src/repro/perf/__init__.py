@@ -31,11 +31,13 @@ from .resilience import (
     CheckpointJournal,
     QuarantineReport,
     ResiliencePolicy,
+    SabotagedSpec,
     TrialFailure,
     guarded_execute,
 )
 from .spec import (
     ENGINE_VERSION,
+    ConvergeTrialSpec,
     ExtractionTrialSpec,
     SetAgreementTrialSpec,
     TrialSpec,
@@ -46,11 +48,13 @@ from .spec import (
 __all__ = [
     "CACHE_DIR_ENV",
     "CheckpointJournal",
+    "ConvergeTrialSpec",
     "DispatchStats",
     "ENGINE_VERSION",
     "ExtractionTrialSpec",
     "QuarantineReport",
     "ResiliencePolicy",
+    "SabotagedSpec",
     "SetAgreementTrialSpec",
     "StoreJournalConflictError",
     "TrialFailure",

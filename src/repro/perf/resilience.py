@@ -16,6 +16,11 @@ Three small pieces the executor composes:
   are served from the :class:`~repro.perf.cache.TrialCache`); a line is
   written *after* the cache store, so a crash mid-sweep can lose at most
   the in-flight trials, never record phantom completions.
+
+:class:`SabotagedSpec` is the harness's own fault injector: it wraps any
+trial spec and makes the *worker* fail, so the three pieces above can be
+tested and demonstrated end to end (``repro sweep chaos
+--inject-worker-crash``).
 """
 
 from __future__ import annotations
@@ -90,6 +95,50 @@ class TrialFailure:
 
     kind: str
     detail: str
+
+
+@dataclasses.dataclass(frozen=True)
+class SabotagedSpec:
+    """``spec``, run by a worker that fails on purpose (harness self-test).
+
+    ``mode`` is ``"raise"`` (the trial raises), ``"crash"`` (the worker
+    process dies outright), ``"hang"`` (sleeps past any reasonable
+    watchdog) or ``"raise-once:<path>"`` (raises only while ``<path>``
+    does not exist, creating it — a deterministic flake).  The wrapper is
+    a field of its own cache key, so a sabotaged run never shares a key
+    with ``spec``; its :attr:`kind` is ``spec``'s.
+    """
+
+    spec: Any
+    mode: str
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("raise", "crash", "hang") \
+                and not self.mode.startswith("raise-once:"):
+            raise ValueError(f"unknown sabotage mode {self.mode!r}")
+
+    @property
+    def kind(self) -> str:
+        return self.spec.kind
+
+    def sabotage(self) -> None:
+        """Fail the way :attr:`mode` says (returns only for a spent flake)."""
+        if self.mode == "raise":
+            raise RuntimeError("sabotage: deliberate trial failure")
+        if self.mode == "crash":
+            import os
+
+            os._exit(23)  # simulate a worker death (OOM-killer style)
+        if self.mode == "hang":
+            import time
+
+            time.sleep(3600)  # the watchdog must cut this short
+            raise RuntimeError("sabotage: hang outlived the watchdog")
+        marker = Path(self.mode.partition(":")[2])
+        if not marker.exists():
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            marker.touch()
+            raise RuntimeError("sabotage: first-attempt flake")
 
 
 class _TrialTimeout(Exception):

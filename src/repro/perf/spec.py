@@ -23,12 +23,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
+
+if TYPE_CHECKING:
+    from ..chaos.config import ChaosConfig
 
 #: Cache-key salt for the simulation engine.  Bump whenever a change to
 #: the engine, the protocols, or the trial drivers alters what any trial
 #: returns — every previously cached result is then invalidated at once.
-ENGINE_VERSION = "2026.08.2"
+ENGINE_VERSION = "2026.10.1"
 
 #: Lazily computed environment salt (see :func:`environment_salt`).
 _ENV_SALT: Optional[str] = None
@@ -72,7 +75,11 @@ def environment_salt() -> str:
 
 @dataclasses.dataclass(frozen=True)
 class SetAgreementTrialSpec:
-    """One seeded Fig. 1 / Fig. 2 set-agreement trial (Theorems 2 / 6)."""
+    """One seeded Fig. 1 / Fig. 2 set-agreement trial (Theorems 2 / 6).
+
+    ``chaos`` (every spec kind has it) runs the same trial under the
+    :mod:`repro.chaos` injectors; ``None`` installs none of them.
+    """
 
     n_processes: int
     f: int
@@ -80,6 +87,7 @@ class SetAgreementTrialSpec:
     stabilization_time: int
     adversarial: bool = False
     max_steps: int = 2_000_000
+    chaos: Optional["ChaosConfig"] = None
 
     kind = "set_agreement"
 
@@ -99,11 +107,28 @@ class ExtractionTrialSpec:
     f: Optional[int] = None
     stabilization_time: int = 60
     max_steps: int = 40_000
+    chaos: Optional["ChaosConfig"] = None
 
     kind = "extraction"
 
 
-TrialSpec = Union[SetAgreementTrialSpec, ExtractionTrialSpec]
+@dataclasses.dataclass(frozen=True)
+class ConvergeTrialSpec:
+    """One seeded k-converge trial over ABD-emulated registers (E13).
+
+    ``f = None`` means the largest majority-safe resilience ``⌊n/2⌋``.
+    """
+
+    n_processes: int
+    seed: int
+    f: Optional[int] = None
+    max_steps: int = 400_000
+    chaos: Optional["ChaosConfig"] = None
+
+    kind = "abd-converge"
+
+
+TrialSpec = Union[SetAgreementTrialSpec, ExtractionTrialSpec, ConvergeTrialSpec]
 
 
 def spec_key(spec: TrialSpec) -> str:
@@ -126,13 +151,13 @@ def warm_imports() -> None:
 
     A pool worker calls this once at boot so the first trial of every
     kind doesn't carry the import cost of the trial drivers, the
-    detector registry, the mc instance tables, or the chaos/audit
-    runners — and so ``environment_salt()`` (which walks the detector
+    detector registry, the mc instance tables, the chaos injectors or the
+    audit runner — and so ``environment_salt()`` (which walks the detector
     registry) is computed before any batch is timed.
     """
     from ..analysis import runner  # noqa: F401
     from ..audit import runner as _audit  # noqa: F401
-    from ..chaos import trial as _chaos  # noqa: F401
+    from ..chaos import detectors, network, scheduler  # noqa: F401
     from ..detectors import registry  # noqa: F401
     from ..mc import instances, parallel  # noqa: F401
 
@@ -152,6 +177,7 @@ def execute_trial(spec: TrialSpec, collector=None):
     use and so this module stays import-cycle-free.
     """
     from ..analysis.runner import (
+        run_converge_trial,
         run_extraction_trial,
         run_set_agreement_trial,
     )
@@ -169,6 +195,7 @@ def execute_trial(spec: TrialSpec, collector=None):
             adversarial=spec.adversarial,
             max_steps=spec.max_steps,
             collector=collector,
+            chaos=spec.chaos,
         )
     if isinstance(spec, ExtractionTrialSpec):
         system = System(spec.n_processes)
@@ -185,15 +212,26 @@ def execute_trial(spec: TrialSpec, collector=None):
             stabilization_time=spec.stabilization_time,
             max_steps=spec.max_steps,
             collector=collector,
+            chaos=spec.chaos,
+        )
+    if isinstance(spec, ConvergeTrialSpec):
+        return run_converge_trial(
+            System(spec.n_processes),
+            spec.seed,
+            f=spec.f,
+            max_steps=spec.max_steps,
+            collector=collector,
+            chaos=spec.chaos,
         )
     from ..mc.parallel import McShardSpec, execute_mc_shard
 
     if isinstance(spec, McShardSpec):
         return execute_mc_shard(spec)
-    from ..chaos.trial import ChaosTrialSpec, run_chaos_trial
+    from .resilience import SabotagedSpec
 
-    if isinstance(spec, ChaosTrialSpec):
-        return run_chaos_trial(spec, collector=collector)
+    if isinstance(spec, SabotagedSpec):
+        spec.sabotage()
+        return execute_trial(spec.spec, collector=collector)
     from ..audit.runner import AuditTrialSpec, run_audit_trial
 
     if isinstance(spec, AuditTrialSpec):

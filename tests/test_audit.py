@@ -117,6 +117,26 @@ class TestOracles:
         assert any(d.kind == "contract" for d in outcome.divergences)
         assert any("!corrupted" in d.detail for d in outcome.divergences)
 
+    def test_chaos_zero_catches_one_swapped_pick(self, monkeypatch):
+        # A zero-severity chaos scheduler that deviates once from its
+        # inner scheduler must show up as a step-level divergence: the
+        # oracle runs the real drivers with and without the wrappers.
+        from repro.chaos import ChaosScheduler
+
+        choose = ChaosScheduler.choose
+
+        def swapped(self, t, eligible):
+            pid = choose(self, t, eligible)
+            if t == 3 and len(eligible) > 1:
+                return next(p for p in eligible if p != pid)
+            return pid
+
+        monkeypatch.setattr(ChaosScheduler, "choose", swapped)
+        outcome = run_case("chaos-zero", 0, 13)
+        traces = [d for d in outcome.divergences if d.kind == "trace"]
+        assert len(traces) == PAIRS_PER_CASE["chaos-zero"]
+        assert {d.first_step for d in traces} == {3}
+
 
 class TestPlanAndRun:
     def test_plan_covers_every_selected_pair(self):

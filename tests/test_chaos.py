@@ -3,6 +3,8 @@
 The central claim under test: every injector stays *inside* the paper's
 model (finite lying prefix, ABD-safe message faults, bounded unfairness),
 so the protocols must keep their properties even at maximum severity.
+Chaotic trials are the ordinary trial specs with a ``chaos`` field, run by
+the ordinary drivers.
 """
 
 import dataclasses
@@ -11,22 +13,27 @@ import random
 
 import pytest
 
+from repro.analysis import PROTOCOLS, protocol_spec
 from repro.chaos import (
     ChaosConfig,
     ChaosScheduler,
-    ChaosTrialSpec,
     FaultyNetwork,
     LyingHistory,
-    PROTOCOLS,
     chaotic_history,
+    injection_counts,
     quorum_critical,
-    run_chaos_trial,
-    spec_from_chaos,
     worst_lie,
 )
 from repro.detectors import UpsilonSpec, detector_names, make_detector
 from repro.failures import Environment
 from repro.messaging.network import Network
+from repro.perf import (
+    ConvergeTrialSpec,
+    SabotagedSpec,
+    SetAgreementTrialSpec,
+    execute_trial,
+    spec_key,
+)
 from repro.runtime import RandomScheduler, System
 
 
@@ -67,7 +74,9 @@ class TestLyingHistory:
         _, pattern = _pattern(system, rng)
         spec = UpsilonSpec(system)
         chaos = ChaosConfig(seed=3, lying_prefix=25)
-        history = chaotic_history(spec, pattern, chaos, rng)
+        history = chaotic_history(
+            spec, pattern, chaos, spec.sample_history(pattern, rng)
+        )
         assert isinstance(history, LyingHistory)
         pool = set(spec.noise_pool(pattern))
         for pid in system.pids:
@@ -79,12 +88,18 @@ class TestLyingHistory:
         assert "lying" in history.describe()
 
     def test_zero_prefix_is_exactly_sample_history(self):
+        # The wrapper stays installed at zero severity, and delegates
+        # every query to the sampled history it wraps.
         system = System(3)
         rng = random.Random(1)
         _, pattern = _pattern(system, rng)
         spec = UpsilonSpec(system)
-        history = chaotic_history(spec, pattern, ChaosConfig(), rng)
-        assert not isinstance(history, LyingHistory)
+        inner = spec.sample_history(pattern, rng, stabilization_time=30)
+        history = chaotic_history(spec, pattern, ChaosConfig(), inner)
+        assert isinstance(history, LyingHistory)
+        for pid in system.pids:
+            for t in range(60):
+                assert history.value(pid, t) == inner.value(pid, t)
 
     def test_worst_lie_for_upsilon_is_the_correct_set(self):
         system = System(4)
@@ -106,7 +121,9 @@ class TestLyingHistory:
         spec = make_detector(name, env)
         pattern = env.random_pattern(rng, max_crash_time=40)
         chaos = ChaosConfig(seed=1, lying_prefix=30)
-        history = spec.sample_chaotic_history(pattern, rng, chaos)
+        history = chaotic_history(
+            spec, pattern, chaos, spec.sample_history(pattern, rng)
+        )
         pool = set(spec.noise_pool(pattern))
         worst = worst_lie(spec, pattern)
         allowed = pool | ({worst} if worst is not None else set())
@@ -233,81 +250,82 @@ class TestChaosScheduler:
 
 class TestChaosTrials:
     def test_spec_is_picklable_and_validates(self):
-        spec = ChaosTrialSpec("fig1", 3, seed=0, lying_prefix=10)
+        spec = protocol_spec(
+            "fig1", 3, 0, chaos=ChaosConfig(seed=0, lying_prefix=10)
+        )
         assert pickle.loads(pickle.dumps(spec)) == spec
         with pytest.raises(ValueError):
-            run_chaos_trial(ChaosTrialSpec("nope", 3, seed=0))
+            protocol_spec("nope", 3, 0)
 
     def test_spec_from_chaos_round_trips_the_knobs(self):
         chaos = ChaosConfig.max_severity(seed=4)
-        spec = spec_from_chaos("fig2", 4, 4, chaos)
-        assert spec.chaos_config() == chaos
+        spec = protocol_spec("fig2", 4, 4, chaos=chaos)
+        assert spec.chaos == chaos
+        assert pickle.loads(pickle.dumps(spec)).chaos == chaos
+        plain = dataclasses.replace(spec, chaos=None)
+        assert spec_key(spec) != spec_key(plain)
+        assert spec_key(spec) != spec_key(
+            dataclasses.replace(spec, chaos=ChaosConfig(seed=4))
+        )
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_properties_survive_max_severity(self, protocol):
         # The acceptance bar: with every injector at its harshest, the
         # paper's protocols still satisfy k-agreement, validity, and
         # termination — chaos stays inside the model by construction.
-        spec = spec_from_chaos(
-            protocol, 4, seed=3, chaos=ChaosConfig.max_severity(seed=3),
+        spec = protocol_spec(
+            protocol, 4, 3, chaos=ChaosConfig.max_severity(seed=3),
             max_steps=400_000,
         )
-        result = run_chaos_trial(spec)
-        assert result.decided, result.violations
-        assert result.ok, result.violations
+        result = execute_trial(spec)
+        assert result.ok, result
 
     def test_abd_converge_reports_network_faults(self):
-        spec = ChaosTrialSpec(
-            "abd-converge", 5, seed=1, lying_prefix=20,
-            drop_rate=0.4, reorder_rate=0.4,
-        )
-        result = run_chaos_trial(spec)
+        spec = ConvergeTrialSpec(5, 1, chaos=ChaosConfig(
+            seed=1, lying_prefix=20, drop_rate=0.4, reorder_rate=0.4,
+        ))
+        result = execute_trial(spec)
         assert result.ok, result.violations
-        assert result.messages_dropped > 0
-        assert result.messages_delayed > 0
+        counts = injection_counts(result.metrics)
+        assert counts["messages_dropped"] > 0
+        assert counts["messages_delayed"] > 0
 
     def test_trials_are_deterministic(self):
-        spec = ChaosTrialSpec(
-            "fig2", 4, seed=6, f=2, lying_prefix=40,
+        spec = SetAgreementTrialSpec(4, 2, 6, 0, chaos=ChaosConfig(
+            seed=6, lying_prefix=40,
             burst_length=8, starvation_window=8, fairness_bound=32,
-        )
-        assert run_chaos_trial(spec) == run_chaos_trial(spec)
+        ))
+        assert execute_trial(spec) == execute_trial(spec)
 
     def test_chaos_events_reach_the_collector(self):
         from repro.obs import MetricsCollector
 
         collector = MetricsCollector()
-        spec = ChaosTrialSpec(
-            "abd-converge", 4, seed=2, drop_rate=0.5, reorder_rate=0.5,
-            burst_length=8,
-        )
-        result = run_chaos_trial(spec, collector=collector)
+        spec = ConvergeTrialSpec(4, 2, chaos=ChaosConfig(
+            seed=2, drop_rate=0.5, reorder_rate=0.5, burst_length=8,
+        ))
+        result = execute_trial(spec, collector=collector)
         assert result.ok, result.violations
-        counters = collector.snapshot()["counters"]
-        assert sum(counters["chaos_injections"].values()) > 0
-        assert (
-            sum(counters["messages_dropped"].values())
-            == result.messages_dropped
-        )
-        assert (
-            sum(counters["messages_delayed"].values())
-            == result.messages_delayed
-        )
+        injections = collector.snapshot()["counters"]["chaos_injections"]
+        # One announcement per active knob, then one event per burst.
+        assert {k: injections[k] for k in
+                ("drop_rate", "reorder_rate", "burst_length")} == \
+            {"drop_rate": 1, "reorder_rate": 1, "burst_length": 1}
+        counts = injection_counts(result.metrics)
+        assert counts["bursts"] == injections.get("burst", 0) > 0
+        assert counts["messages_dropped"] > 0
 
     def test_sabotage_modes(self, tmp_path):
+        spec = protocol_spec("fig1", 3, 0)
         with pytest.raises(RuntimeError):
-            run_chaos_trial(ChaosTrialSpec("fig1", 3, seed=0,
-                                           sabotage="raise"))
+            execute_trial(SabotagedSpec(spec, "raise"))
         with pytest.raises(ValueError):
-            run_chaos_trial(ChaosTrialSpec("fig1", 3, seed=0,
-                                           sabotage="explode"))
+            SabotagedSpec(spec, "explode")
         marker = tmp_path / "flake.marker"
-        spec = ChaosTrialSpec(
-            "fig1", 3, seed=0, sabotage=f"raise-once:{marker}"
-        )
+        flaky = SabotagedSpec(spec, f"raise-once:{marker}")
         with pytest.raises(RuntimeError):
-            run_chaos_trial(spec)          # first attempt flakes…
-        assert run_chaos_trial(spec).ok    # …second succeeds
+            execute_trial(flaky)           # first attempt flakes…
+        assert execute_trial(flaky).ok     # …second succeeds
 
 
 class TestChaosGrid:
@@ -319,6 +337,9 @@ class TestChaosGrid:
             lying_prefixes=[0, 30], drop_rates=[0.0],
         )
         assert len(specs) == 2 * 2 * 2 * 2
+        assert all(isinstance(s, SetAgreementTrialSpec) for s in specs)
+        assert all(s.chaos.seed == s.seed for s in specs)
+        assert {s.chaos.lying_prefix for s in specs} == {0, 30}
         with pytest.raises(EmptySweepError):
             chaos_grid(["not-a-protocol"], [3], [0])
         with pytest.raises(EmptySweepError):
@@ -335,15 +356,16 @@ class TestChaosGrid:
         )
         assert len(results) == 2
         assert all(r.ok for r in results)
-        text = to_csv(results)
-        assert "lying_prefix" in text.splitlines()[0]
+        header = to_csv(results).splitlines()[0]
+        assert header.startswith("n_processes,f,seed,stabilization_time")
 
     def test_chaos_specs_flow_through_executor_and_cache(self, tmp_path):
         from repro.perf import TrialCache, run_trials
 
         cache = TrialCache(tmp_path / "cache")
         specs = [
-            ChaosTrialSpec("fig1", 3, seed=s, lying_prefix=10)
+            protocol_spec("fig1", 3, s,
+                          chaos=ChaosConfig(seed=s, lying_prefix=10))
             for s in range(3)
         ]
         first = run_trials(specs, cache=cache)
@@ -351,10 +373,26 @@ class TestChaosGrid:
         assert first == again
         assert cache.hits == 3
 
+    def test_mixed_kind_csv_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+
+        csv = tmp_path / "mixed.csv"
+        code = main([
+            "sweep", "chaos", "--protocols", "fig1,abd-converge",
+            "--sizes", "3", "--seeds", "0", "--lying-prefixes", "0",
+            "--drop-rates", "0.0", "--no-cache", "--csv", str(csv),
+        ])
+        assert code == 2
+        assert "mixes" in capsys.readouterr().err
+        assert not csv.exists()
+
 
 def test_chaos_spec_replace_keeps_spec_frozen():
-    spec = ChaosTrialSpec("fig1", 3, seed=0)
-    sabotaged = dataclasses.replace(spec, sabotage="crash")
-    assert sabotaged.sabotage == "crash"
+    spec = protocol_spec("fig1", 3, 0, chaos=ChaosConfig())
+    sabotaged = SabotagedSpec(spec, "crash")
+    assert sabotaged.kind == spec.kind
+    assert spec_key(sabotaged) != spec_key(spec)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.seed = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sabotaged.mode = "raise"

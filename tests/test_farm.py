@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import ChaosTrialSpec
 from repro.farm import (
     CRASH_EXIT_CODE,
     CampaignIncompleteError,
@@ -36,6 +35,7 @@ from repro.obs.metrics import SPAN_METRIC_PREFIX
 from repro.perf import (
     QuarantineReport,
     ResiliencePolicy,
+    SabotagedSpec,
     SetAgreementTrialSpec,
     StoreJournalConflictError,
     TrialCache,
@@ -49,8 +49,7 @@ SPECS = [
 ]
 
 #: Deterministically raises inside the trial — the "always fails" spec.
-BROKEN = ChaosTrialSpec("fig1", 3, seed=0, lying_prefix=5,
-                        max_steps=50_000, sabotage="raise")
+BROKEN = SabotagedSpec(SetAgreementTrialSpec(3, 2, 0, 0), "raise")
 
 
 def _store(tmp_path, name="farm.db"):
@@ -489,6 +488,28 @@ class TestCli:
         assert code == 0
         assert "properties: OK" in capsys.readouterr().out
         assert csv_path.exists()
+
+    def test_results_csv_refuses_mixed_kinds(self, tmp_path, capsys):
+        from repro.cli import main
+
+        url = f"sqlite:////{str(tmp_path / 'mixed.db').lstrip('/')}"
+        assert main([
+            "submit", "chaos", "--protocols", "fig1,abd-converge",
+            "--sizes", "3", "--seeds", "0", "--lying-prefixes", "0",
+            "--drop-rates", "0.0", "--no-cache", "--store", url,
+            "--campaign", "mixed",
+        ]) == 0
+        assert main(["worker", "--store", url, "--no-cache"]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "mixed.csv"
+        code = main([
+            "farm", "results", "--store", url, "--campaign", "mixed",
+            "--csv", str(csv_path),
+        ])
+        assert code == 2
+        assert "mixes ConvergeResult, SetAgreementResult" in \
+            capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_submit_duplicate_campaign_is_a_usage_error(
             self, tmp_path, capsys):

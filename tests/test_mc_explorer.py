@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import minimize_schedule
 from repro.mc import (
     CrashSweep,
     ExploreConfig,
@@ -9,6 +10,7 @@ from repro.mc import (
     check,
     explore_instance,
 )
+from repro.mc.instances import build_simulation, instance_properties
 
 
 class TestPartialOrderReduction:
@@ -78,20 +80,24 @@ class TestDeduplication:
 
 
 class TestStrategies:
-    def test_bfs_finds_the_planted_bug(self):
+    def test_dfs_shrinks_the_planted_bug(self):
+        """DFS + ``minimize_schedule`` finds a shortest witness: 6 steps,
+        the length of a breadth-first search's first violation."""
+        instance = McInstance("naive-converge", n_processes=2)
         result = explore_instance(
-            McInstance("naive-converge", n_processes=2),
-            ExploreConfig(max_depth=20, strategy="bfs"),
+            instance, ExploreConfig(max_depth=20, shrink=False)
         )
         assert not result.ok
         ce = result.counterexamples[0]
         assert ce.prop == "c-agreement(k=1)"
-        assert ce.verify()
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            explore_instance(McInstance("converge", n_processes=2),
-                             ExploreConfig(strategy="ids"))
+        [adapter] = [p for p in instance_properties(instance)
+                     if p.name == ce.prop]
+        shrunk = minimize_schedule(
+            lambda: build_simulation(instance), list(ce.schedule),
+            lambda sim: adapter.check_run(sim) is not None,
+        )
+        assert len(shrunk) <= 6
+        assert type(ce).from_schedule(instance, shrunk, [adapter]).verify()
 
     def test_max_states_truncates(self):
         result = explore_instance(

@@ -339,16 +339,19 @@ class TestSerialParallelEquivalence:
         """With a deterministically crashing spec in the grid, resilient
         serial and parallel execution quarantine the *same* input slots
         (results[i] is None exactly there) and agree elsewhere."""
-        from repro.chaos.trial import ChaosTrialSpec
-        from repro.perf.resilience import QuarantineReport
+        from repro.perf.resilience import QuarantineReport, SabotagedSpec
+
+        def broken(seed):
+            return SabotagedSpec(
+                SetAgreementTrialSpec(3, 2, seed, stabilization_time=0),
+                "raise",
+            )
 
         specs = [
             SetAgreementTrialSpec(3, 2, seed=1, stabilization_time=0),
-            ChaosTrialSpec(protocol="fig1", n_processes=3, seed=2,
-                           sabotage="raise"),
+            broken(2),
             SetAgreementTrialSpec(3, 2, seed=3, stabilization_time=0),
-            ChaosTrialSpec(protocol="fig1", n_processes=3, seed=4,
-                           sabotage="raise"),
+            broken(4),
         ]
         serial_q = QuarantineReport()
         serial = run_trials(specs, jobs=1, quarantine=serial_q, backoff=0)

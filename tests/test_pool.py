@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chaos import ChaosTrialSpec
+from repro.chaos import ChaosConfig
 from repro.obs import MetricsCollector, TrialCompleted
 from repro.perf import (
     DispatchStats,
     QuarantineReport,
+    SabotagedSpec,
     SetAgreementTrialSpec,
     TrialCache,
     WorkerCrashError,
@@ -38,14 +39,13 @@ SPECS = [
 ]
 
 
-def _crasher(seed: int) -> ChaosTrialSpec:
-    return ChaosTrialSpec("fig1", 3, seed=seed, lying_prefix=5,
-                          max_steps=50_000, sabotage="crash")
+def _crasher(seed: int) -> SabotagedSpec:
+    return SabotagedSpec(_quick(seed), "crash")
 
 
-def _quick(seed: int) -> ChaosTrialSpec:
-    return ChaosTrialSpec("fig1", 3, seed=seed, lying_prefix=5,
-                          max_steps=50_000)
+def _quick(seed: int) -> SetAgreementTrialSpec:
+    return SetAgreementTrialSpec(3, 2, seed, 0, max_steps=50_000,
+                                 chaos=ChaosConfig(seed=seed, lying_prefix=5))
 
 
 class TestChunkIndices:

@@ -6,17 +6,18 @@ batch, isolates the culprit, and quarantines it — while every surviving
 result keeps its deterministic input-order slot.
 """
 
-import dataclasses
 import json
 import signal
 
 import pytest
 
-from repro.chaos import ChaosTrialSpec
+from repro.chaos import ChaosConfig
 from repro.obs import MetricsCollector
 from repro.perf import (
     CheckpointJournal,
     QuarantineReport,
+    SabotagedSpec,
+    SetAgreementTrialSpec,
     TrialCache,
     TrialFailure,
     guarded_execute,
@@ -34,11 +35,12 @@ from repro.runtime import (
 _HAS_SIGALRM = hasattr(signal, "SIGALRM")
 
 
-def _quick_spec(seed: int, sabotage: str = "") -> ChaosTrialSpec:
-    return ChaosTrialSpec(
-        "fig1", 3, seed=seed, lying_prefix=5, max_steps=50_000,
-        sabotage=sabotage,
+def _quick_spec(seed: int, sabotage: str = ""):
+    spec = SetAgreementTrialSpec(
+        3, 2, seed, 0, max_steps=50_000,
+        chaos=ChaosConfig(seed=seed, lying_prefix=5),
     )
+    return SabotagedSpec(spec, sabotage) if sabotage else spec
 
 
 class TestGuardedExecute:
@@ -201,8 +203,7 @@ class TestCheckpointJournal:
         with CheckpointJournal(journal_path) as journal:
             assert spec_key(specs[1]) in journal.quarantined()
         # Resume with the sabotage removed (a fixed flake / healthy node).
-        fixed = [specs[0], dataclasses.replace(specs[1], sabotage=""),
-                 specs[2]]
+        fixed = [specs[0], specs[1].spec, specs[2]]
         cache2 = TrialCache(tmp_path / "cache")
         resumed = run_trials(fixed, jobs=2, retries=0, cache=cache2,
                              journal=journal_path, backoff=0)
