@@ -14,6 +14,12 @@ is metered separately — a dedicated store is drained one
 ``claim_batch(limit=1)`` + ``complete`` round trip at a time with no
 trial execution, giving the pure SQLite transaction overhead per trial.
 
+``farm_overhead_vs_resilient`` compares the two resilient-execution
+paths on the same grid, both in-process with a fresh cache:
+``run_trials(store=<fresh store>)`` over ``run_trials(retries=1,
+trial_timeout=10, journal=<fresh journal>)``, interleaved, best of 3
+each.  1.0 means a store drain costs what the journal path costs.
+
 ``farm_speedup_2v1`` is honest about the host: two workers on a 1-CPU
 container cannot speed up compute (``parallel_meaningful`` goes false),
 they can only overlap the queue's idle time.
@@ -53,7 +59,12 @@ from repro.farm import (  # noqa: E402
 from repro.obs.campaign import (  # noqa: E402
     SCHEMA_VERSION as ARTIFACT_SCHEMA_VERSION,
 )
-from repro.perf import ENGINE_VERSION, ResiliencePolicy, run_trials  # noqa: E402
+from repro.perf import (  # noqa: E402
+    ENGINE_VERSION,
+    ResiliencePolicy,
+    TrialCache,
+    run_trials,
+)
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).parent / "artifacts" / "BENCH_farm.json"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -132,6 +143,34 @@ def _claim_overhead(store_path: pathlib.Path, rounds: int) -> float:
     return wall / rounds
 
 
+def _overhead_vs_resilient(workdir: pathlib.Path, specs, serial_csv: str,
+                           repeats: int = 3) -> tuple:
+    """Best in-process store drain and best resilient run, seconds.
+
+    Rounds alternate which path goes first; every run starts from a
+    fresh store or journal and a fresh cache.
+    """
+    def store_run(work: pathlib.Path):
+        return run_trials(specs, store=str(work / "store.db"),
+                          cache=TrialCache(work / "cache"))
+
+    def resilient_run(work: pathlib.Path):
+        return run_trials(specs, retries=1, trial_timeout=10,
+                          journal=str(work / "journal.jsonl"),
+                          cache=TrialCache(work / "cache"))
+
+    best = {"store": float("inf"), "resilient": float("inf")}
+    runs = (("store", store_run), ("resilient", resilient_run))
+    for round_ in range(repeats):
+        for name, run in runs if round_ % 2 == 0 else runs[::-1]:
+            start = time.perf_counter()
+            results = run(workdir / f"{name}-{round_}")
+            best[name] = min(best[name], time.perf_counter() - start)
+            if to_csv(results) != serial_csv:
+                raise AssertionError(f"{name} CSV differs from serial CSV")
+    return best["store"], best["resilient"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=500)
@@ -164,6 +203,11 @@ def main(argv=None) -> int:
             raise AssertionError("farm CSV differs from serial CSV")
         claim_s = _claim_overhead(tmp_path / "claims.db", args.claim_rounds)
         print(f"  claim+complete round trip   {claim_s * 1000:>8.2f}ms/trial")
+        store_s, resilient_s = _overhead_vs_resilient(
+            tmp_path, specs, serial_csv
+        )
+        print(f"  in-process store drain      {store_s:>8.2f}s (best of 3)")
+        print(f"  resilient run_trials        {resilient_s:>8.2f}s (best of 3)")
 
     payload = {
         "engine_version": ENGINE_VERSION,
@@ -186,6 +230,9 @@ def main(argv=None) -> int:
         "farm_speedup_2v1": round(farm1_s / farm2_s, 2),
         "farm_overhead_vs_serial": round(farm1_s / serial_s, 2),
         "claim_overhead_ms_per_trial": round(claim_s * 1000, 3),
+        "store_drain_seconds": round(store_s, 3),
+        "resilient_seconds": round(resilient_s, 3),
+        "farm_overhead_vs_resilient": round(store_s / resilient_s, 2),
         "csv_identical": True,
     }
     output = pathlib.Path(args.output)
@@ -193,7 +240,8 @@ def main(argv=None) -> int:
     output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"farm: 2 workers {payload['farm_speedup_2v1']}x vs 1, "
           f"claim tax {payload['claim_overhead_ms_per_trial']}ms/trial, "
-          f"artifact -> {output}")
+          f"store drain {payload['farm_overhead_vs_resilient']}x the "
+          f"resilient path, artifact -> {output}")
     return 0
 
 

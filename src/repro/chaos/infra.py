@@ -320,8 +320,10 @@ class FaultyStore:
     injected ``database is locked``; claim and complete additionally
     cross the plan's kill barriers — ``after-claim`` fires with the
     leases durably held but the worker 'dead', ``before-complete`` with
-    the result computed but never committed, ``after-complete`` with the
-    commit durable but the worker gone mid-batch.  Submit-side and
+    the results computed but never committed, ``after-complete`` with the
+    commit durable but the worker gone mid-batch.  ``complete_many`` is
+    faulted like ``complete``, crossing each barrier once per batch.
+    Submit-side and
     monitoring calls pass through untouched: the adversary attacks the
     drain path, not the experiment definition.
     """
@@ -352,6 +354,14 @@ class FaultyStore:
         ok = self.inner.complete(*args, **kwargs)
         self.injector.barrier("after-complete")
         return ok
+
+    def complete_many(self, *args: Any, **kwargs: Any) -> List[bool]:
+        # One barrier crossing per batch commit, like one per complete.
+        self.injector.maybe_lock("complete")
+        self.injector.barrier("before-complete")
+        oks = self.inner.complete_many(*args, **kwargs)
+        self.injector.barrier("after-complete")
+        return oks
 
     def fail(self, *args: Any, **kwargs: Any) -> str:
         self.injector.maybe_lock("fail")

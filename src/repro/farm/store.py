@@ -21,7 +21,10 @@ the reclaiming worker stored.
 The default backend is SQLite (:class:`SQLiteFarmStore`): WAL mode so
 readers never block the writer, and every claim wrapped in a
 ``BEGIN IMMEDIATE`` transaction so concurrent workers serialize on the
-write lock and can never double-claim a row.  :func:`open_store` maps DB
+write lock and can never double-claim a row.  Each round trip costs
+O(batch), not O(campaign): claims read a partial index of the claimable
+rows only, and :meth:`~FarmStore.complete_many` settles a claimed batch
+in one transaction.  :func:`open_store` maps DB
 URLs onto backends; adding a server-backed store is registering one more
 scheme.
 """
@@ -94,7 +97,8 @@ class FarmStore:
     processes at once; the implementation must guarantee that
 
     * :meth:`claim_batch` never hands the same live lease to two callers,
-    * :meth:`complete` / :meth:`fail` with a stale token change nothing,
+    * :meth:`complete` / :meth:`complete_many` / :meth:`fail` with a
+      stale token change nothing,
     * an expired lease is reclaimed exactly once.
     """
 
@@ -127,6 +131,17 @@ class FarmStore:
     def complete(self, token: str, result: Any,
                  telemetry: Any = None) -> bool:
         raise NotImplementedError
+
+    def complete_many(self, items: Sequence[Tuple[str, Any, Any]]
+                      ) -> List[bool]:
+        """Settle ``(token, result, telemetry)`` items; one flag each.
+
+        The default is one :meth:`complete` per item, so a decorator
+        that only wraps :meth:`complete` keeps working; a backend that
+        can commit the batch in one transaction overrides it.
+        """
+        return [self.complete(token, result, telemetry)
+                for token, result, telemetry in items]
 
     def fail(self, token: str, reason: str,
              policy: ResiliencePolicy) -> str:
@@ -197,10 +212,23 @@ CREATE TABLE IF NOT EXISTS trials (
     completed_at  REAL,
     PRIMARY KEY (campaign, position)
 );
-CREATE INDEX IF NOT EXISTS trials_by_state ON trials (state);
+DROP INDEX IF EXISTS trials_by_state;
 CREATE INDEX IF NOT EXISTS trials_by_lease ON trials (state, lease_expires);
 CREATE INDEX IF NOT EXISTS trials_by_token ON trials (lease_token);
+CREATE INDEX IF NOT EXISTS trials_claimable ON trials (campaign, position)
+    WHERE state IN ('pending', 'failed');
 """
+
+#: The claim query, ``{scope}`` being ``""`` or ``" AND campaign = ?"``.
+#: The partial index holds only claimable rows in claim order, so a
+#: claim reads just the rows it leases.  ``INDEXED BY`` pins it: for the
+#: unscoped form SQLite would otherwise pick ``trials_by_lease`` and sort
+#: every pending row in a temp B-tree.
+CLAIM_SQL = (
+    "SELECT campaign, position, key, spec, attempts FROM trials"
+    " INDEXED BY trials_claimable WHERE state IN ('pending', 'failed')"
+    "{scope} ORDER BY campaign, position LIMIT ?"
+)
 
 
 class SQLiteFarmStore(FarmStore):
@@ -334,8 +362,9 @@ class SQLiteFarmStore(FarmStore):
         same breath.
         """
         now = time.time()
-        leases: List[LeasedTrial] = []
         reaped: List[ReapedLease] = []
+        claimed: List[sqlite3.Row] = []
+        tokens: List[str] = []
         scope_sql = " AND campaign = ?" if campaign is not None else ""
         scope_args: tuple = (campaign,) if campaign is not None else ()
         with self._txn() as conn:
@@ -363,26 +392,24 @@ class SQLiteFarmStore(FarmStore):
                     row["lease_worker"] or "", row["attempts"], quarantined,
                 ))
             if limit > 0:
-                for row in conn.execute(
-                    "SELECT campaign, position, key, spec, attempts"
-                    " FROM trials WHERE state IN ('pending', 'failed')"
-                    + scope_sql + " ORDER BY campaign, position LIMIT ?",
-                    scope_args + (limit,),
-                ).fetchall():
-                    token = uuid.uuid4().hex
-                    conn.execute(
-                        "UPDATE trials SET state = 'leased',"
-                        " attempts = attempts + 1, lease_token = ?,"
-                        " lease_worker = ?, lease_expires = ?"
-                        " WHERE campaign = ? AND position = ?",
-                        (token, worker, now + lease_ttl,
-                         row["campaign"], row["position"]),
-                    )
-                    leases.append(LeasedTrial(
-                        row["campaign"], row["position"], row["key"],
-                        pickle.loads(row["spec"]), token,
-                        row["attempts"] + 1,
-                    ))
+                claimed = conn.execute(
+                    CLAIM_SQL.format(scope=scope_sql), scope_args + (limit,),
+                ).fetchall()
+                tokens = [uuid.uuid4().hex for _ in claimed]
+                conn.executemany(
+                    "UPDATE trials SET state = 'leased',"
+                    " attempts = attempts + 1, lease_token = ?,"
+                    " lease_worker = ?, lease_expires = ?"
+                    " WHERE campaign = ? AND position = ?",
+                    [(token, worker, now + lease_ttl, row["campaign"],
+                      row["position"]) for token, row in zip(tokens, claimed)],
+                )
+        # Specs are unpickled after COMMIT, outside the write lock.
+        leases = [
+            LeasedTrial(row["campaign"], row["position"], row["key"],
+                        pickle.loads(row["spec"]), token, row["attempts"] + 1)
+            for token, row in zip(tokens, claimed)
+        ]
         return leases, reaped
 
     def heartbeat(self, tokens: Sequence[str], lease_ttl: float) -> int:
@@ -401,19 +428,33 @@ class SQLiteFarmStore(FarmStore):
     def complete(self, token: str, result: Any,
                  telemetry: Any = None) -> bool:
         """Store the result; false (and no write) if the lease is stale."""
+        return self.complete_many([(token, result, telemetry)])[0]
+
+    def complete_many(self, items: Sequence[Tuple[str, Any, Any]]
+                      ) -> List[bool]:
+        """Settle a batch in one transaction; a stale token is a per-row
+        no-op (``False``), so a zombie never overwrites a result."""
+        now = time.time()
+        rows = [
+            (pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+             pickle.dumps(telemetry, protocol=pickle.HIGHEST_PROTOCOL)
+             if telemetry is not None else None,
+             now, token)
+            for token, result, telemetry in items
+        ]
+        if not rows:
+            return []
         with self._txn() as conn:
-            cursor = conn.execute(
-                "UPDATE trials SET state = 'done', result = ?,"
-                " telemetry = ?, failure = NULL, lease_token = NULL,"
-                " lease_worker = NULL, lease_expires = NULL,"
-                " completed_at = ? WHERE state = 'leased'"
-                " AND lease_token = ?",
-                (pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-                 pickle.dumps(telemetry, protocol=pickle.HIGHEST_PROTOCOL)
-                 if telemetry is not None else None,
-                 time.time(), token),
-            )
-            return cursor.rowcount == 1
+            return [
+                conn.execute(
+                    "UPDATE trials SET state = 'done', result = ?,"
+                    " telemetry = ?, failure = NULL, lease_token = NULL,"
+                    " lease_worker = NULL, lease_expires = NULL,"
+                    " completed_at = ? WHERE state = 'leased'"
+                    " AND lease_token = ?", row,
+                ).rowcount == 1
+                for row in rows
+            ]
 
     def fail(self, token: str, reason: str,
              policy: ResiliencePolicy) -> str:
@@ -646,6 +687,11 @@ class RetryingStore(FarmStore):
 
     def complete(self, *a: Any, **kw: Any) -> bool:
         return self._call("complete", *a, **kw)
+
+    def complete_many(self, *a: Any, **kw: Any) -> List[bool]:
+        # One unit: a lock rolls the whole batch back, so the retry
+        # replays the whole batch.
+        return self._call("complete_many", *a, **kw)
 
     def fail(self, *a: Any, **kw: Any) -> str:
         return self._call("fail", *a, **kw)

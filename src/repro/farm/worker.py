@@ -1,14 +1,22 @@
 """The farm worker: claim → execute → complete, with heartbeats.
 
 A :class:`FarmWorker` drains a :class:`~repro.farm.store.FarmStore` in a
-loop — ``claim_batch`` leases a handful of trials, the trials run
+loop — ``claim_batch`` leases a batch of trials, the trials run
 through the **same** execution machinery as a local sweep
 (:func:`~repro.perf.resilience.guarded_execute_observed` serially, the
-warm :func:`~repro.perf.pool.shared_pool` when ``jobs > 1``), and each
-outcome goes back with the lease token: results via
-:meth:`~repro.farm.store.FarmStore.complete`, failures via
-:meth:`~repro.farm.store.FarmStore.fail` (which requeues or quarantines
-per the shared :class:`~repro.perf.resilience.ResiliencePolicy`).
+warm :func:`~repro.perf.pool.shared_pool` when ``jobs > 1``), and the
+outcomes go back with their lease tokens: the batch's results (each
+pool reply's, when pooled) in one
+:meth:`~repro.farm.store.FarmStore.complete_many`, failures one by one
+via :meth:`~repro.farm.store.FarmStore.fail` (which requeues or
+quarantines per the shared
+:class:`~repro.perf.resilience.ResiliencePolicy`).
+
+Unless ``batch_size`` is given, each claim is sized from the worker's
+own wall time per trial in its previous batch, aiming at
+:data:`CLAIM_TARGET_SECONDS` of work per claim: short trials get large
+claims, so store round trips stop mattering, while long trials keep
+small ones, so several workers still share a small campaign.
 
 A background thread heartbeats the live lease tokens every third of the
 TTL, so a slow trial never loses its lease — only a dead worker does.
@@ -30,7 +38,7 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..perf.cache import TrialCache
 from ..perf.pool import WorkerPool, shared_pool
@@ -49,6 +57,12 @@ CRASH_EXIT_CODE = 86
 #: Consecutive heartbeat failures before a worker declares its leases
 #: lost and abandons them (they expire and get reclaimed elsewhere).
 HEARTBEAT_MAX_MISSES = 3
+
+#: Wall-clock work a derived claim aims at.
+CLAIM_TARGET_SECONDS = 0.1
+
+#: Ceiling on a derived claim size.
+MAX_CLAIM = 64
 
 
 def default_worker_id() -> str:
@@ -130,10 +144,13 @@ class FarmWorker:
     claimed trials in-process (watchdog armed when on the main thread);
     ``jobs > 1`` fans each claimed batch out over the persistent warm
     pool with the in-worker watchdog, exactly like a resilient local
-    sweep.  ``crash_after`` is the self-test hook behind
-    ``--self-test-crash-after``: hard-exit (``os._exit``) after that
-    many completions, mid-batch, leases still held — the worker-death
-    recovery tests and CI drive it.
+    sweep.  ``batch_size`` fixes the claim size; by default the first
+    claim takes ``max(2, 2·jobs)`` and later ones are derived (see the
+    module docstring), never below that nor above :data:`MAX_CLAIM`.
+    ``crash_after`` is the self-test hook behind
+    ``--self-test-crash-after``: hard-exit (``os._exit``) right after
+    that many durable completions, mid-batch, leases still held — the
+    worker-death recovery tests and CI drive it.
     """
 
     def __init__(
@@ -165,7 +182,9 @@ class FarmWorker:
             )
         self.store = store
         self.jobs = max(1, jobs)
-        self.batch_size = batch_size or max(2, self.jobs * 2)
+        self.min_batch = max(2, self.jobs * 2)
+        self.derive_batch = not batch_size
+        self.batch_size = batch_size or self.min_batch
         self.lease_ttl = lease_ttl
         self.policy = policy or ResiliencePolicy()
         self.cache = cache
@@ -204,44 +223,66 @@ class FarmWorker:
 
     # -- outcome plumbing --------------------------------------------------
 
-    def _settle(self, lease: LeasedTrial, outcome: Any, telemetry,
-                heartbeat: _Heartbeat) -> None:
-        """Report one trial's outcome against its lease."""
+    def _fail(self, lease: LeasedTrial, failure: TrialFailure) -> None:
+        """Report one failed trial against its lease."""
         from ..obs.events import TrialQuarantined, TrialRetried, TrialTimedOut
 
-        heartbeat.release(lease.token)
-        if isinstance(outcome, TrialFailure):
-            if outcome.kind == "timeout":
-                self._publish(TrialTimedOut(
-                    -1, lease.key[:12], self.policy.trial_timeout
-                ))
-            verdict = self.store.fail(
-                lease.token, outcome.detail, self.policy
-            )
-            if verdict == "stale":
-                self.stats["stale"] += 1
-            elif verdict == "quarantined":
-                self.stats["quarantined"] += 1
-                self._publish(TrialQuarantined(
-                    -1, lease.key[:12], lease.attempts, outcome.detail
-                ))
+        if failure.kind == "timeout":
+            self._publish(TrialTimedOut(
+                -1, lease.key[:12], self.policy.trial_timeout
+            ))
+        verdict = self.store.fail(lease.token, failure.detail, self.policy)
+        if verdict == "stale":
+            self.stats["stale"] += 1
+        elif verdict == "quarantined":
+            self.stats["quarantined"] += 1
+            self._publish(TrialQuarantined(
+                -1, lease.key[:12], lease.attempts, failure.detail
+            ))
+        else:
+            self.stats["failed"] += 1
+            self._publish(TrialRetried(
+                -1, lease.key[:12], lease.attempts, failure.detail
+            ))
+
+    def _settle(self, outcomes: List[Tuple[LeasedTrial, Any, Any]],
+                heartbeat: _Heartbeat, cached: bool = False) -> None:
+        """Report ``(lease, outcome, telemetry)`` triples.
+
+        Failures go through ``fail`` one by one; the results are settled
+        in one ``complete_many``.  ``cached`` marks results a pool
+        worker already wrote to the cache.
+        """
+        done = []
+        for lease, outcome, telemetry in outcomes:
+            heartbeat.release(lease.token)
+            if isinstance(outcome, TrialFailure):
+                self._fail(lease, outcome)
             else:
-                self.stats["failed"] += 1
-                self._publish(TrialRetried(
-                    -1, lease.key[:12], lease.attempts, outcome.detail
-                ))
-            return
-        if self.store.complete(lease.token, outcome, telemetry):
-            self.stats["completed"] += 1
-            if self.cache is not None:
-                self._cache_buffer.append((lease.spec, outcome))
+                done.append((lease, outcome, telemetry))
+        while done:
+            cut = len(done)
+            if self.crash_after is not None:
+                # The crash hook dies right after the N-th durable
+                # completion, so commit no further than that.
+                cut = max(1, self.crash_after - self.stats["completed"])
+            part, done = done[:cut], done[cut:]
+            oks = self.store.complete_many([
+                (lease.token, outcome, telemetry)
+                for lease, outcome, telemetry in part
+            ])
+            for (lease, outcome, _), ok in zip(part, oks):
+                if not ok:
+                    self.stats["stale"] += 1
+                    continue
+                self.stats["completed"] += 1
+                if self.cache is not None and not cached:
+                    self._cache_buffer.append((lease.spec, outcome))
             if (self.crash_after is not None
                     and self.stats["completed"] >= self.crash_after):
                 # Self-test hook: die exactly like a power cut — no
                 # cleanup, leases for the rest of the batch still held.
                 os._exit(CRASH_EXIT_CODE)
-        else:
-            self.stats["stale"] += 1
 
     # -- execution ---------------------------------------------------------
 
@@ -267,14 +308,16 @@ class FarmWorker:
 
     def _run_serial(self, leases: List[LeasedTrial],
                     heartbeat: _Heartbeat) -> None:
+        outcomes = []
         for index, lease in enumerate(leases):
             if heartbeat.lost.is_set():
                 self._abandon(heartbeat, leases[index:])
-                return
+                break
             outcome, telemetry = guarded_execute_observed(
-                lease.spec, self.policy.trial_timeout, time.time()
+                lease.spec, self.policy.trial_timeout, time.time(), lease.key
             )
-            self._settle(lease, outcome, telemetry, heartbeat)
+            outcomes.append((lease, outcome, telemetry))
+        self._settle(outcomes, heartbeat)
 
     def _run_pooled(self, leases: List[LeasedTrial],
                     heartbeat: _Heartbeat) -> None:
@@ -301,31 +344,31 @@ class FarmWorker:
                 if kind == "died":
                     # The pool already recycled the slot; the suspect
                     # trials go back through the store's retry budget.
-                    for index in task.indices:
-                        lease = leases[index]
-                        self._settle(lease, TrialFailure(
-                            "error",
-                            "pool worker death (recycled in place)",
-                        ), None, heartbeat)
+                    death = TrialFailure(
+                        "error", "pool worker death (recycled in place)"
+                    )
+                    self._settle([(leases[index], death, None)
+                                  for index in task.indices], heartbeat)
                     continue
                 if payload.error is not None:
                     raise payload.error
-                for index, (outcome, telemetry) in zip(
-                    task.indices, payload.items
-                ):
-                    # Pool workers already flushed successes to the
-                    # cache (cache_root); don't buffer a second write.
-                    cache, self.cache = self.cache, None
-                    try:
-                        self._settle(leases[index], outcome, telemetry,
-                                     heartbeat)
-                    finally:
-                        self.cache = cache
+                # Pool workers already flushed successes to the cache
+                # (cache_root); don't buffer a second write.
+                self._settle([
+                    (leases[index], outcome, telemetry)
+                    for index, (outcome, telemetry)
+                    in zip(task.indices, payload.items)
+                ], heartbeat, cached=True)
         except BaseException:
             pool.abandon_all()
             raise
 
     # -- the drain loop ----------------------------------------------------
+
+    def _claim_size(self, seconds_per_trial: float) -> int:
+        """Leases for about :data:`CLAIM_TARGET_SECONDS` of work."""
+        wanted = CLAIM_TARGET_SECONDS / max(seconds_per_trial, 1e-9)
+        return max(self.min_batch, min(MAX_CLAIM, int(wanted)))
 
     def drain(self) -> Dict[str, int]:
         """Run until the scope is finished; returns this worker's stats."""
@@ -348,6 +391,7 @@ class FarmWorker:
                     self.stats["batches"] += 1
                     heartbeat.track([lease.token for lease in leases])
                     before_failed = self.stats["failed"]
+                    started = time.perf_counter()
                     if self.jobs > 1:
                         self._run_pooled(leases, heartbeat)
                     else:
@@ -355,6 +399,10 @@ class FarmWorker:
                     if self.cache is not None and self._cache_buffer:
                         self.cache.put_many(self._cache_buffer)
                         self._cache_buffer = []
+                    if self.derive_batch:
+                        self.batch_size = self._claim_size(
+                            (time.perf_counter() - started) / len(leases)
+                        )
                     if self.stats["failed"] > before_failed:
                         delay = self.policy.backoff_seconds(failure_rounds)
                         failure_rounds += 1

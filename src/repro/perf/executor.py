@@ -475,7 +475,7 @@ def _run_resilient(
                 attempts[i] += 1
                 if relay is not None:
                     outcome, telemetry = guarded_execute_observed(
-                        specs[i], trial_timeout, _time.time()
+                        specs[i], trial_timeout, _time.time(), keys[i]
                     )
                 else:
                     outcome = guarded_execute(specs[i], trial_timeout)

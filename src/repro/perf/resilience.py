@@ -165,7 +165,7 @@ def guarded_execute(spec: Any, timeout: Optional[float] = None) -> Any:
 
 
 def guarded_execute_observed(spec: Any, timeout: Optional[float],
-                             submitted_at: float) -> Any:
+                             submitted_at: float, key: str) -> Any:
     """Like :func:`guarded_execute`, returning ``(outcome, telemetry)``.
 
     The observed worker entry point of the telemetry relay: the trial
@@ -173,13 +173,13 @@ def guarded_execute_observed(spec: Any, timeout: Optional[float],
     a :class:`~repro.obs.telemetry.TrialTelemetry` payload (queue-wait +
     execute spans, metric deltas) ships back next to the outcome.
     Failures carry ``telemetry = None`` — a timed-out or crashed trial
-    has no trustworthy registry.
+    has no trustworthy registry.  ``key`` is the spec's
+    :func:`~repro.perf.spec.spec_key`, which every caller already holds.
     """
     import time
 
     from ..obs.metrics import MetricsCollector
     from ..obs.telemetry import capture_telemetry
-    from .spec import spec_key
 
     queue_wait = max(0.0, time.time() - submitted_at)
     collector = MetricsCollector()
@@ -190,7 +190,7 @@ def guarded_execute_observed(spec: Any, timeout: Optional[float],
         return outcome, None
     telemetry = capture_telemetry(
         spec, outcome, collector.registry,
-        key=spec_key(spec),
+        key=key,
         spans=(("queue_wait", queue_wait), ("execute", seconds)),
         seconds=seconds,
     )

@@ -10,6 +10,7 @@ byte-identical — results *and* logical telemetry — to a serial
 """
 
 import os
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -23,12 +24,15 @@ from repro.farm import (
     CampaignIncompleteError,
     FarmStoreError,
     FarmWorker,
+    RetryingStore,
     SQLiteFarmStore,
     collect_results,
     open_store,
     render_status,
     submit_campaign,
 )
+from repro.farm import worker as worker_module
+from repro.farm.store import CLAIM_SQL
 from repro.obs import MetricsCollector
 from repro.obs.events import FarmLeaseExpired, FarmTrialClaimed
 from repro.obs.metrics import SPAN_METRIC_PREFIX
@@ -161,6 +165,64 @@ class TestStoreLifecycle:
         assert leases == []
         assert len(reaped) == 1 and reaped[0].quarantined
         assert store.counts()["quarantined"] == 1
+
+    def test_complete_many_skips_a_reclaimed_zombie_token(self, tmp_path):
+        store = _store(tmp_path)
+        _enqueue(store, SPECS[:2])
+        policy = ResiliencePolicy(retries=3)
+        (zombie,), _ = store.claim_batch("zombie", 1, 0.01, policy)
+        time.sleep(0.05)
+        (fresh,), reaped = store.claim_batch("fresh", 1, 30.0, policy)
+        assert len(reaped) == 1 and fresh.position == zombie.position
+        (live,), _ = store.claim_batch("live", 1, 30.0, policy)
+        assert store.complete_many([
+            (live.token, "live result", None),
+            (zombie.token, "zombie result", None),
+        ]) == [True, False]
+        reclaimed, settled = store.campaign_rows("c1")
+        assert reclaimed["state"] == "leased"
+        assert reclaimed["lease_token"] == fresh.token
+        assert reclaimed["result"] is None
+        assert settled["state"] == "done"
+        assert settled["result"] == "live result"
+        assert store.complete_many([]) == []
+
+    def test_retrying_store_retries_complete_many_as_one_unit(
+            self, tmp_path):
+        store = _store(tmp_path)
+        _enqueue(store, SPECS[:2])
+        leases, _ = store.claim_batch("w1", 2, 30.0, ResiliencePolicy())
+        batches = []
+
+        class LockedOnce:
+            def complete_many(self, items):
+                batches.append(list(items))
+                if len(batches) == 1:
+                    raise sqlite3.OperationalError("database is locked")
+                return store.complete_many(items)
+
+        retrying = RetryingStore(LockedOnce(), sleep=lambda _: None)
+        items = [(lease.token, lease.position, None) for lease in leases]
+        assert retrying.complete_many(items) == [True, True]
+        assert retrying.retried == 1
+        assert batches == [items, items]  # the whole batch, twice
+        assert store.counts("c1")["done"] == 2
+
+    def test_claims_read_the_claimable_index(self, tmp_path):
+        """Scoped and unscoped claims walk the partial index of
+        claimable rows, never sorting the pending set."""
+        store = _store(tmp_path)
+        _enqueue(store, SPECS)
+        conn = store._conn()
+        for scope, args in (("", (5,)), (" AND campaign = ?", ("c1", 5))):
+            plan = " | ".join(
+                row["detail"] for row in conn.execute(
+                    "EXPLAIN QUERY PLAN " + CLAIM_SQL.format(scope=scope),
+                    args,
+                )
+            )
+            assert "trials_claimable" in plan, plan
+            assert "TEMP B-TREE" not in plan, plan
 
     def test_claims_are_scoped_by_campaign(self, tmp_path):
         store = _store(tmp_path)
@@ -321,6 +383,45 @@ class TestWorkerDrain:
         results, info = collect_results(store, "open", strict=False)
         assert results == [None, None]
         assert info["unfinished"] == 2
+
+    @staticmethod
+    def _claim_limits(tmp_path, monkeypatch, specs, trial_seconds,
+                      batch_size=None):
+        """Drain ``specs`` with trials taking ``trial_seconds`` each;
+        returns the ``limit`` of every claim."""
+        def execute(spec, timeout, submitted_at, key):
+            time.sleep(trial_seconds)
+            return key, None
+
+        monkeypatch.setattr(worker_module, "guarded_execute_observed",
+                            execute)
+        limits = []
+
+        class LimitLog(SQLiteFarmStore):
+            def claim_batch(self, worker, limit, *args, **kwargs):
+                limits.append(limit)
+                return super().claim_batch(worker, limit, *args, **kwargs)
+
+        store = LimitLog(tmp_path / "farm.db")
+        submit_campaign(store, specs, campaign="sized")
+        stats = FarmWorker(store, batch_size=batch_size,
+                           lease_ttl=5.0).drain()
+        assert stats["completed"] == len(specs)
+        return limits
+
+    def test_fast_trials_grow_the_claim(self, tmp_path, monkeypatch):
+        limits = self._claim_limits(tmp_path, monkeypatch, SPECS, 0.0)
+        assert limits[0] == 2  # max(2, 2·jobs) before any measurement
+        assert limits[1] > 2
+
+    def test_slow_trials_keep_the_default_claim(self, tmp_path, monkeypatch):
+        limits = self._claim_limits(tmp_path, monkeypatch, SPECS[:4], 0.11)
+        assert set(limits) == {2}
+
+    def test_explicit_batch_size_wins(self, tmp_path, monkeypatch):
+        limits = self._claim_limits(tmp_path, monkeypatch, SPECS, 0.0,
+                                    batch_size=3)
+        assert set(limits) == {3}
 
     def test_max_idle_exits_while_another_worker_holds_leases(
             self, tmp_path):

@@ -233,6 +233,32 @@ class TestKillBarriers:
         assert store.counts("c1")["leased"] == 2
         store.close()
 
+    def test_kill_before_a_batch_commit_leaves_the_batch_leased(
+        self, tmp_path
+    ):
+        """The batched completion crosses ``before-complete`` too: the
+        cut loses the whole uncommitted batch, and a pristine finisher
+        still restores parity with the serial baseline."""
+        store = SQLiteFarmStore(tmp_path / "farm.db")
+        submit_campaign(store, SPECS, campaign="c1", kind="test")
+        plan = InfraFaultPlan(seed=0, kill_barrier="before-complete")
+        dying = FarmWorker(
+            FaultyStore(store, plan.build()), worker_id="a", policy=POLICY,
+            lease_ttl=0.15, campaign="c1", poll=0.01,
+        )
+        with pytest.raises(SimulatedPowerCut):
+            dying.drain()
+        counts = store.counts("c1")
+        assert counts["leased"] == 2  # the first claim, max(2, 2·jobs)
+        assert counts["done"] == 0
+        finisher = SQLiteFarmStore(tmp_path / "farm.db")
+        FarmWorker(finisher, worker_id="b", policy=POLICY, lease_ttl=0.15,
+                   campaign="c1", poll=0.02).drain()
+        finisher.close()
+        baseline = [result_bytes(guarded_execute(spec)) for spec in SPECS]
+        assert check_store_invariants(store, "c1", POLICY, baseline) == []
+        store.close()
+
     def test_power_cut_passes_through_the_retry_wrapper(self, tmp_path):
         store = SQLiteFarmStore(tmp_path / "farm.db")
         _enqueue(store, SPECS)
