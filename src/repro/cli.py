@@ -612,8 +612,9 @@ def _add_grid_subparsers(parent, dest: str, chaos_protocols):
     g_ch.add_argument("--max-steps", type=int, default=60_000)
     g_ch.add_argument(
         "--inject-worker-crash", type=int, default=None, metavar="I",
-        help="harness self-test: hard-kill the worker running grid "
-             "point I (mod grid size); needs --retries to recover",
+        help="harness self-test: hard-kill the worker process running "
+             "grid point I (mod grid size); a sweep needs --jobs 2 or "
+             "more, and --retries to recover",
     )
     return g_sa, g_ex, g_ch
 
@@ -993,6 +994,11 @@ def _cmd_sweep(args) -> int:
     quarantine = QuarantineReport() if resilient else None
     cache = None if args.no_cache else TrialCache(args.cache_dir)
     jobs = resolve_jobs(args.jobs)
+    if getattr(args, "inject_worker_crash", None) is not None and jobs < 2:
+        print("error: --inject-worker-crash kills the process that runs "
+              "the trial, which at --jobs 1 is this one; pass --jobs 2 "
+              "or more", file=sys.stderr)
+        return 2
     collector = MetricsCollector()
     try:
         sink = (

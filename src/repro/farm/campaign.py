@@ -184,9 +184,6 @@ def run_store_backed(
     bus=None,
     collector=None,
     dispatch=None,
-    lease_ttl: float = 30.0,
-    campaign: Optional[str] = None,
-    kind: str = "grid",
 ) -> List[Any]:
     """The ``run_trials(store=...)`` backend: submit → drain → collect.
 
@@ -203,12 +200,10 @@ def run_store_backed(
     policy = policy or ResiliencePolicy()
     quarantine = quarantine if quarantine is not None else QuarantineReport()
     try:
-        submitted = submit_campaign(
-            store, specs, campaign=campaign, kind=kind, cache=cache,
-        )
+        submitted = submit_campaign(store, specs, cache=cache)
         worker = FarmWorker(
             store, jobs=resolve_jobs(jobs), policy=policy, cache=cache,
-            campaign=submitted["campaign"], bus=bus, lease_ttl=lease_ttl,
+            campaign=submitted["campaign"], bus=bus,
         )
         worker.drain()
         results, _ = collect_results(

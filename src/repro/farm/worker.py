@@ -2,11 +2,11 @@
 
 A :class:`FarmWorker` drains a :class:`~repro.farm.store.FarmStore` in a
 loop — ``claim_batch`` leases a batch of trials, the trials run
-through the **same** execution machinery as a local sweep
-(:func:`~repro.perf.resilience.guarded_execute_observed` serially, the
-warm :func:`~repro.perf.pool.shared_pool` when ``jobs > 1``), and the
-outcomes go back with their lease tokens: the batch's results (each
-pool reply's, when pooled) in one
+through the **same** batch runner as a local sweep
+(:func:`~repro.perf.pool._execute_batch`: in this process through an
+:class:`~repro.perf.pool.InlinePool` at ``jobs == 1``, on the warm
+:func:`~repro.perf.pool.shared_pool` when ``jobs > 1``), and the
+outcomes go back with their lease tokens: each reply's results in one
 :meth:`~repro.farm.store.FarmStore.complete_many`, failures one by one
 via :meth:`~repro.farm.store.FarmStore.fail` (which requeues or
 quarantines per the shared
@@ -41,12 +41,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..perf.cache import TrialCache
-from ..perf.pool import WorkerPool, shared_pool
-from ..perf.resilience import (
-    ResiliencePolicy,
-    TrialFailure,
-    guarded_execute_observed,
-)
+from ..perf.pool import InlinePool, WorkerPool, batch_lost, shared_pool
+from ..perf.resilience import ResiliencePolicy, TrialFailure
 from .store import FarmStore, LeasedTrial, RetryingStore
 
 log = logging.getLogger("repro.farm.worker")
@@ -141,8 +137,8 @@ class FarmWorker:
     """One drain loop over a farm store.
 
     Parameters mirror the ``repro worker`` CLI.  ``jobs == 1`` executes
-    claimed trials in-process (watchdog armed when on the main thread);
-    ``jobs > 1`` fans each claimed batch out over the persistent warm
+    each claimed batch in-process as one task (watchdog armed when on the
+    main thread); ``jobs > 1`` fans it out over the persistent warm
     pool with the in-worker watchdog, exactly like a resilient local
     sweep.  ``batch_size`` fixes the claim size; by default the first
     claim takes ``max(2, 2·jobs)`` and later ones are derived (see the
@@ -194,7 +190,6 @@ class FarmWorker:
         self.max_idle = max_idle
         self.pool = pool
         self.crash_after = crash_after
-        self._cache_buffer: List = []
         self.stats: Dict[str, int] = {
             "claimed": 0, "completed": 0, "failed": 0, "quarantined": 0,
             "reaped": 0, "stale": 0, "batches": 0, "abandoned": 0,
@@ -246,12 +241,11 @@ class FarmWorker:
             ))
 
     def _settle(self, outcomes: List[Tuple[LeasedTrial, Any, Any]],
-                heartbeat: _Heartbeat, cached: bool = False) -> None:
+                heartbeat: _Heartbeat) -> None:
         """Report ``(lease, outcome, telemetry)`` triples.
 
         Failures go through ``fail`` one by one; the results are settled
-        in one ``complete_many``.  ``cached`` marks results a pool
-        worker already wrote to the cache.
+        in one ``complete_many``.
         """
         done = []
         for lease, outcome, telemetry in outcomes:
@@ -271,13 +265,8 @@ class FarmWorker:
                 (lease.token, outcome, telemetry)
                 for lease, outcome, telemetry in part
             ])
-            for (lease, outcome, _), ok in zip(part, oks):
-                if not ok:
-                    self.stats["stale"] += 1
-                    continue
-                self.stats["completed"] += 1
-                if self.cache is not None and not cached:
-                    self._cache_buffer.append((lease.spec, outcome))
+            for ok in oks:
+                self.stats["completed" if ok else "stale"] += 1
             if (self.crash_after is not None
                     and self.stats["completed"] >= self.crash_after):
                 # Self-test hook: die exactly like a power cut — no
@@ -306,31 +295,33 @@ class FarmWorker:
                 len(tokens),
             )
 
-    def _run_serial(self, leases: List[LeasedTrial],
-                    heartbeat: _Heartbeat) -> None:
-        outcomes = []
-        for index, lease in enumerate(leases):
-            if heartbeat.lost.is_set():
-                self._abandon(heartbeat, leases[index:])
-                break
-            outcome, telemetry = guarded_execute_observed(
-                lease.spec, self.policy.trial_timeout, time.time(), lease.key
-            )
-            outcomes.append((lease, outcome, telemetry))
-        self._settle(outcomes, heartbeat)
+    def _run(self, leases: List[LeasedTrial],
+             heartbeat: _Heartbeat) -> None:
+        """Run one claim and settle each reply with one ``complete_many``.
 
-    def _run_pooled(self, leases: List[LeasedTrial],
-                    heartbeat: _Heartbeat) -> None:
-        pool = self.pool if self.pool is not None else shared_pool()
-        pool.ensure(self.jobs)
-        pool.limit(self.jobs)
-        chunk = max(1, -(-len(leases) // self.jobs))
+        In-process the claim is one task, so its results reach the cache
+        in one ``put_many``; pooled, it is split into ``jobs`` tasks.  A
+        lost batch (a pool worker death or an aborted reply) fails each
+        of its trials through ``fail``, which retries or quarantines them
+        per the policy.
+        """
+        if heartbeat.lost.is_set():
+            self._abandon(heartbeat, leases)
+            return
+        if self.jobs > 1:
+            pool = self.pool if self.pool is not None else shared_pool()
+            pool.ensure(self.jobs)
+            pool.limit(self.jobs)
+        else:
+            pool = InlinePool(self.cache)
+        chunk = -(-len(leases) // self.jobs)
         outstanding = 0
         for start in range(0, len(leases), chunk):
             part = leases[start:start + chunk]
             pool.submit(pool.make_task(
-                indices=[start + k for k in range(len(part))],
+                indices=range(start, start + len(part)),
                 specs=[lease.spec for lease in part],
+                keys=tuple(lease.key for lease in part),
                 observed=True, capture=True,
                 timeout=self.policy.trial_timeout,
                 cache_root=str(self.cache.root)
@@ -341,24 +332,13 @@ class FarmWorker:
             while outstanding:
                 kind, task, payload = pool.wait()
                 outstanding -= 1
-                if kind == "died":
-                    # The pool already recycled the slot; the suspect
-                    # trials go back through the store's retry budget.
-                    death = TrialFailure(
-                        "error", "pool worker death (recycled in place)"
-                    )
-                    self._settle([(leases[index], death, None)
-                                  for index in task.indices], heartbeat)
-                    continue
-                if payload.error is not None:
-                    raise payload.error
-                # Pool workers already flushed successes to the cache
-                # (cache_root); don't buffer a second write.
+                lost = batch_lost(kind, payload)
+                items = payload.items if lost is None else \
+                    [(TrialFailure("error", lost), None)] * len(task.indices)
                 self._settle([
                     (leases[index], outcome, telemetry)
-                    for index, (outcome, telemetry)
-                    in zip(task.indices, payload.items)
-                ], heartbeat, cached=True)
+                    for index, (outcome, telemetry) in zip(task.indices, items)
+                ], heartbeat)
         except BaseException:
             pool.abandon_all()
             raise
@@ -392,13 +372,7 @@ class FarmWorker:
                     heartbeat.track([lease.token for lease in leases])
                     before_failed = self.stats["failed"]
                     started = time.perf_counter()
-                    if self.jobs > 1:
-                        self._run_pooled(leases, heartbeat)
-                    else:
-                        self._run_serial(leases, heartbeat)
-                    if self.cache is not None and self._cache_buffer:
-                        self.cache.put_many(self._cache_buffer)
-                        self._cache_buffer = []
+                    self._run(leases, heartbeat)
                     if self.derive_batch:
                         self.batch_size = self._claim_size(
                             (time.perf_counter() - started) / len(leases)

@@ -17,10 +17,15 @@ grid never touches the pool at all.  Pass a
 the fan-out cost (pool spawns, batch messages, pickle bytes, cache round
 trips — the ``dispatch_overhead_per_trial`` numbers in BENCH_sweep.json).
 
+At ``jobs=1`` the same loop drives an
+:class:`~repro.perf.pool.InlinePool` instead, one spec per task, so
+every trial of a sweep runs in :func:`~repro.perf.pool._execute_batch`
+whichever way it is dispatched.
+
 **Resilient mode** (any of ``retries``/``trial_timeout``/``journal``/
 ``quarantine`` set) hardens the fan-out against the trials themselves:
 
-* every trial runs under the in-worker watchdog
+* every trial runs under the watchdog
   (:func:`~repro.perf.resilience._guarded`), so exceptions and
   wall-clock timeouts come back as
   :class:`~repro.perf.resilience.TrialFailure` values;
@@ -28,7 +33,7 @@ trips — the ``dispatch_overhead_per_trial`` numbers in BENCH_sweep.json).
   exactly — the dead slot is *recycled* (a replacement forked in place,
   never a whole new pool) and the suspect specs re-run **pinned to the
   recycled worker** one at a time while the rest of the pool keeps
-  draining healthy work;
+  draining healthy work; an aborted batch reply is blamed the same way;
 * a spec that fails ``retries + 1`` times is quarantined (recorded in
   the :class:`~repro.perf.resilience.QuarantineReport`, ``None`` in the
   results) instead of aborting the sweep;
@@ -43,17 +48,23 @@ from __future__ import annotations
 
 import os
 import time as _time
-from typing import Any, Dict, List, Optional, Sequence, Union
+from collections import deque
+from typing import Any, List, Optional, Sequence, Union
 
 from .cache import TrialCache
-from .pool import DispatchStats, WorkerCrashError, WorkerPool, shared_pool
+from .pool import (
+    DispatchStats,
+    InlinePool,
+    WorkerCrashError,
+    WorkerPool,
+    batch_lost,
+    shared_pool,
+)
 from .resilience import (
     CheckpointJournal,
     QuarantineReport,
     ResiliencePolicy,
     TrialFailure,
-    guarded_execute,
-    guarded_execute_observed,
 )
 from .spec import TrialSpec, execute_trial, spec_key
 
@@ -71,32 +82,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be positive, got {jobs}")
     return jobs
-
-
-def _execute_observed(spec: TrialSpec, submitted_at: float):
-    """Execute one spec with a private collector; telemetry rides along.
-
-    The serial in-process path: exceptions propagate (the non-resilient
-    executor has no failure protocol to hide them behind).  Worker-side
-    execution lives in :func:`repro.perf.pool._execute_batch`, which
-    stamps one dequeue time per batch instead of trusting the caller's
-    ``submitted_at``.
-    """
-    from ..obs.metrics import MetricsCollector
-    from ..obs.telemetry import capture_telemetry
-
-    queue_wait = max(0.0, _time.time() - submitted_at)
-    collector = MetricsCollector()
-    started = _time.perf_counter()
-    result = execute_trial(spec, collector=collector)
-    seconds = _time.perf_counter() - started
-    telemetry = capture_telemetry(
-        spec, result, collector.registry,
-        key=spec_key(spec),
-        spans=(("queue_wait", queue_wait), ("execute", seconds)),
-        seconds=seconds,
-    )
-    return result, telemetry
 
 
 def _chunk_indices(n_items: int, jobs: int, chunk_size: Optional[int]) -> List[range]:
@@ -132,13 +117,11 @@ def run_trials(
     journal: Union[CheckpointJournal, str, os.PathLike, None] = None,
     quarantine: Optional[QuarantineReport] = None,
     backoff: float = 0.5,
-    policy: Optional[ResiliencePolicy] = None,
     bus=None,
     collector=None,
     dispatch: Optional[DispatchStats] = None,
     pool: Optional[WorkerPool] = None,
     store=None,
-    lease_ttl: float = 30.0,
 ) -> List[Any]:
     """Execute every spec; results come back in input order.
 
@@ -158,7 +141,7 @@ def run_trials(
         exposes this as ``--batch-size``.
     retries:
         Resilient mode: re-run a failing spec up to this many extra
-        times (with exponential backoff) before quarantining it.
+        times (with per-spec exponential backoff) before quarantining it.
     trial_timeout:
         Resilient mode: per-trial wall-clock budget in seconds, enforced
         by an in-worker watchdog.
@@ -170,14 +153,11 @@ def run_trials(
         Resilient mode: a :class:`QuarantineReport` collecting the specs
         the executor gave up on.  Their result slots hold ``None``.
     backoff:
-        Base of the exponential retry backoff, in seconds (failure round
-        ``r`` sleeps ``backoff * 2**r``, capped by the policy's
-        ``max_backoff``; pass 0 in tests).
-    policy:
-        A :class:`~repro.perf.resilience.ResiliencePolicy` bundling
-        ``retries``/``trial_timeout``/``backoff`` as one value (shared
-        with the farm workers).  When given, it wins over the individual
-        keyword knobs.
+        Base of the exponential retry backoff, in seconds: a spec's
+        ``a``-th failed attempt sleeps ``backoff * 2**(a - 1)`` before
+        its re-run, capped by
+        :attr:`~repro.perf.resilience.ResiliencePolicy.max_backoff`
+        (pass 0 in tests).
     bus:
         Optional :class:`~repro.obs.events.EventBus` for
         ``TrialRetried`` / ``TrialQuarantined`` / ``TrialTimedOut``
@@ -210,19 +190,11 @@ def run_trials(
         come back in input order exactly like the local paths.  The
         store *is* the checkpoint tier, so combining it with ``journal``
         is refused (:class:`StoreJournalConflictError`).
-    lease_ttl:
-        Farm backend: lease time-to-live in seconds for claims made by
-        the in-process worker.
     """
     specs = list(specs)
-    if policy is not None:
-        retries = policy.retries
-        trial_timeout = policy.trial_timeout
-        backoff = policy.backoff
-    else:
-        policy = ResiliencePolicy(
-            retries=retries, trial_timeout=trial_timeout, backoff=backoff
-        )
+    policy = ResiliencePolicy(
+        retries=retries, trial_timeout=trial_timeout, backoff=backoff
+    )
     if store is not None:
         if journal is not None:
             raise StoreJournalConflictError(
@@ -238,7 +210,6 @@ def run_trials(
             specs, store, jobs=jobs, cache=cache,
             policy=policy, quarantine=quarantine,
             bus=bus, collector=collector, dispatch=dispatch,
-            lease_ttl=lease_ttl,
         )
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(specs)
@@ -311,15 +282,12 @@ def run_trials(
             pending = list(range(len(specs)))
 
         if pending:
-            if not resilient:
-                _run_plain(specs, pending, results, jobs, cache,
-                           chunk_size, relay, dispatch, pool)
-            else:
-                _run_resilient(
-                    specs, pending, results, jobs, cache, chunk_size,
-                    policy=policy, journal=journal, quarantine=quarantine,
-                    bus=bus, relay=relay, dispatch=dispatch, pool=pool,
-                )
+            _run(
+                specs, pending, results, jobs, cache, chunk_size,
+                capture=resilient, policy=policy, journal=journal,
+                quarantine=quarantine, bus=bus, relay=relay,
+                dispatch=dispatch, pool=pool,
+            )
         if relay is not None:
             relay.finish()
         if dispatch is not None:
@@ -358,73 +326,7 @@ def _fold_reply(reply, cache: Optional[TrialCache]) -> None:
         cache.put_round_trips += reply.cache_put_round_trips
 
 
-def _run_plain(
-    specs: List[TrialSpec],
-    pending: List[int],
-    results: List[Any],
-    jobs: int,
-    cache: Optional[TrialCache],
-    chunk_size: Optional[int],
-    relay=None,
-    dispatch: Optional[DispatchStats] = None,
-    pool: Optional[WorkerPool] = None,
-) -> None:
-    """The fast path — no watchdog, no retries, no journal."""
-    if jobs <= 1 or len(pending) == 1:
-        for index in pending:
-            if relay is not None:
-                result, telemetry = _execute_observed(
-                    specs[index], _time.time()
-                )
-                relay.record(index, telemetry)
-            else:
-                result = execute_trial(specs[index])
-            results[index] = result
-            if cache is not None:
-                cache.put(specs[index], result)
-        if dispatch is not None:
-            dispatch.trials += len(pending)
-        return
-
-    # Fan the misses out as batches over the persistent pool; results
-    # are written back by original position, so completion order (and
-    # any OS scheduling jitter) cannot perturb the output order.
-    pool = _pool_session(pool, jobs, dispatch)
-    with pool.scoped(dispatch):
-        chunks = _chunk_indices(len(pending), jobs, chunk_size)
-        cache_root = str(cache.root) if cache is not None else None
-        for chunk in chunks:
-            pool.submit(pool.make_task(
-                indices=[pending[i] for i in chunk],
-                specs=[specs[pending[i]] for i in chunk],
-                observed=relay is not None,
-                cache_root=cache_root,
-            ))
-        outstanding = len(chunks)
-        try:
-            while outstanding:
-                kind, task, payload = pool.wait()
-                outstanding -= 1
-                if kind == "died":
-                    raise WorkerCrashError(
-                        f"pool worker died while running a batch of "
-                        f"{len(task.specs)} trial(s)"
-                    )
-                if payload.error is not None:
-                    raise payload.error
-                _fold_reply(payload, cache)
-                for index, (result, telemetry) in zip(
-                    task.indices, payload.items
-                ):
-                    if relay is not None:
-                        relay.record(index, telemetry)
-                    results[index] = result
-        except BaseException:
-            pool.abandon_all()
-            raise
-
-
-def _run_resilient(
+def _run(
     specs: List[TrialSpec],
     pending: List[int],
     results: List[Any],
@@ -432,152 +334,131 @@ def _run_resilient(
     cache: Optional[TrialCache],
     chunk_size: Optional[int],
     *,
+    capture: bool,
     policy: ResiliencePolicy,
     journal: Optional[CheckpointJournal],
-    quarantine: QuarantineReport,
+    quarantine: Optional[QuarantineReport],
     bus,
-    relay=None,
-    dispatch: Optional[DispatchStats] = None,
-    pool: Optional[WorkerPool] = None,
+    relay,
+    dispatch: Optional[DispatchStats],
+    pool: Optional[WorkerPool],
 ) -> None:
+    """Run the pending specs and settle every reply into ``results``.
+
+    Plain mode (``capture=False``) re-raises a trial's exception, and a
+    worker death as :class:`WorkerCrashError`.  Resilient mode
+    (``capture=True``) runs trials under the watchdog and settles
+    failures instead: a failed spec is charged an attempt and re-run
+    alone after ``backoff * 2**(attempt - 1)`` seconds, until its
+    ``retries + 1``-th failure quarantines it.  A lost batch (a worker
+    death or an aborted reply) charges a singleton the same way; a
+    multi-spec batch's culprit is unknown, so its specs re-run one at a
+    time, uncharged, pinned to the recycled worker after a death.
+    """
     from ..obs.events import TrialQuarantined, TrialRetried, TrialTimedOut
 
-    retries = policy.retries
-    trial_timeout = policy.trial_timeout
-    keys = {i: spec_key(specs[i]) for i in pending}
-    attempts = {i: 0 for i in pending}
-
-    def record_success(i: int, result: Any, telemetry=None,
-                       stored_in_worker: bool = False) -> None:
-        results[i] = result
-        if relay is not None:
-            relay.record(i, telemetry)
-        if cache is not None and not stored_in_worker:
-            cache.put(specs[i], result)
-        if journal is not None:
-            journal.record_done(keys[i])
-
-    def backoff_sleep(seconds: float, key: str) -> None:
-        if relay is not None:
-            relay.span("retry_backoff", seconds, key[:12])
-        _time.sleep(seconds)
-
-    def give_up(i: int, reason: str) -> None:
-        quarantine.add(i, keys[i], specs[i], attempts[i], reason)
-        if journal is not None:
-            journal.record_quarantined(keys[i], reason)
-        _publish(bus, TrialQuarantined(-1, keys[i], attempts[i], reason))
-
-    if jobs <= 1:
-        # Serial resilient path: the watchdog runs in this process.
-        for i in pending:
-            while True:
-                attempts[i] += 1
-                if relay is not None:
-                    outcome, telemetry = guarded_execute_observed(
-                        specs[i], trial_timeout, _time.time(), keys[i]
-                    )
-                else:
-                    outcome = guarded_execute(specs[i], trial_timeout)
-                    telemetry = None
-                if not isinstance(outcome, TrialFailure):
-                    record_success(i, outcome, telemetry)
-                    break
-                if outcome.kind == "timeout":
-                    _publish(bus, TrialTimedOut(-1, keys[i], trial_timeout))
-                if attempts[i] > retries:
-                    give_up(i, outcome.detail)
-                    break
-                _publish(
-                    bus, TrialRetried(-1, keys[i], attempts[i], outcome.detail)
-                )
-                delay = policy.backoff_seconds(attempts[i] - 1)
-                if delay > 0:
-                    backoff_sleep(delay, keys[i])
+    observed = relay is not None
+    keys = {i: spec_key(specs[i]) for i in pending} if capture else {}
+    attempts = dict.fromkeys(pending, 0)
+    if jobs <= 1 or (not capture and len(pending) == 1):
+        # In-process: one spec per task and one task at a time, so each
+        # trial is cached and journaled (and a failed one re-run) before
+        # the next starts.  Trials go through this module's
+        # execute_trial, so a hook on it sees each one (perfbench times
+        # serial trials that way).
+        pool = InlinePool(cache, execute_trial)
+        batches = [[i] for i in pending]
+        window = 1
         if dispatch is not None:
             dispatch.trials += len(pending)
-        return
+    else:
+        # Fan the misses out as batches over the persistent pool; results
+        # are written back by original position, so completion order (and
+        # any OS scheduling jitter) cannot perturb the output order.
+        pool = _pool_session(pool, jobs, dispatch)
+        batches = [
+            [pending[k] for k in chunk]
+            for chunk in _chunk_indices(len(pending), jobs, chunk_size)
+        ]
+        window = len(batches)
+    cache_root = str(cache.root) if cache is not None else None
 
-    # Pooled resilient path.  Batches carry the in-worker watchdog
-    # (capture=True: failures come back as TrialFailure values).  Worker
-    # deaths blame their batch exactly — a multi-spec batch is requeued
-    # as singletons pinned to the recycled worker slot (no attempt
-    # charged: the culprit within the batch is unknown); a singleton
-    # death charges its one spec.
-    pool = _pool_session(pool, jobs, dispatch)
+    def submit(indices: List[int], pin: Optional[int] = None) -> None:
+        pool.submit(pool.make_task(
+            indices=indices, specs=[specs[i] for i in indices],
+            keys=tuple(keys[i] for i in indices) if observed and capture
+            else (),
+            observed=observed, capture=capture,
+            timeout=policy.trial_timeout, cache_root=cache_root, pin=pin,
+        ))
+
+    def charge(i: int, reason: str, timed_out: bool = False) -> bool:
+        """Count one failed attempt of spec ``i``; False once quarantined."""
+        attempts[i] += 1
+        if timed_out:
+            _publish(bus, TrialTimedOut(-1, keys[i], policy.trial_timeout))
+        if attempts[i] > policy.retries:
+            quarantine.add(i, keys[i], specs[i], attempts[i], reason)
+            if journal is not None:
+                journal.record_quarantined(keys[i], reason)
+            _publish(bus, TrialQuarantined(-1, keys[i], attempts[i], reason))
+            return False
+        _publish(bus, TrialRetried(-1, keys[i], attempts[i], reason))
+        return True
+
+    todo = deque(batches)
+    outstanding = 0
     with pool.scoped(dispatch):
-        cache_root = str(cache.root) if cache is not None else None
-        observed = relay is not None
-
-        def submit(indices: List[int], pin: Optional[int] = None) -> None:
-            pool.submit(pool.make_task(
-                indices=indices, specs=[specs[i] for i in indices],
-                observed=observed, capture=True, timeout=trial_timeout,
-                cache_root=cache_root, pin=pin,
-            ))
-
-        order = sorted(pending)
-        chunks = _chunk_indices(len(order), jobs, chunk_size)
-        for chunk in chunks:
-            submit([order[i] for i in chunk])
-        outstanding = len(chunks)
-        failure_rounds = 0
         try:
-            while outstanding:
+            while todo or outstanding:
+                while todo and outstanding < window:
+                    submit(todo.popleft())
+                    outstanding += 1
                 kind, task, payload = pool.wait()
                 outstanding -= 1
-                resubmits: List = []  # (indices, pin) pairs
-                any_failed = False
-                if kind == "died":
-                    any_failed = True
-                    wid = payload
+                lost = batch_lost(kind, payload)
+                if lost is not None and not capture:
+                    if kind == "died":
+                        raise WorkerCrashError(
+                            f"pool worker died while running a batch of "
+                            f"{len(task.specs)} trial(s)"
+                        )
+                    raise payload.error
+                isolate: List[int] = []  # re-run alone, uncharged
+                retry: List[int] = []    # re-run alone after a charge
+                pin = payload if kind == "died" else None
+                if lost is not None:
                     if len(task.indices) > 1:
-                        # Culprit unknown within the batch: isolate every
-                        # spec on the recycled worker, uncharged.
-                        for i in task.indices:
-                            resubmits.append(([i], wid))
-                    else:
-                        i = task.indices[0]
-                        attempts[i] += 1
-                        reason = "worker death (worker recycled in place)"
-                        if attempts[i] > retries:
-                            give_up(i, reason)
-                        else:
-                            _publish(bus, TrialRetried(
-                                -1, keys[i], attempts[i], reason
-                            ))
-                            resubmits.append(([i], wid))
+                        isolate = list(task.indices)
+                    elif charge(task.indices[0], lost):
+                        retry.append(task.indices[0])
                 else:
                     _fold_reply(payload, cache)
                     for i, (outcome, telemetry) in zip(
                         task.indices, payload.items
                     ):
-                        if not isinstance(outcome, TrialFailure):
-                            record_success(i, outcome, telemetry,
-                                           stored_in_worker=cache is not None)
+                        if isinstance(outcome, TrialFailure):
+                            if charge(i, outcome.detail,
+                                      outcome.kind == "timeout"):
+                                retry.append(i)
                             continue
-                        any_failed = True
-                        attempts[i] += 1
-                        if outcome.kind == "timeout":
-                            _publish(bus, TrialTimedOut(
-                                -1, keys[i], trial_timeout
-                            ))
-                        if attempts[i] > retries:
-                            give_up(i, outcome.detail)
-                        else:
-                            _publish(bus, TrialRetried(
-                                -1, keys[i], attempts[i], outcome.detail
-                            ))
-                            resubmits.append(([i], None))
-                if resubmits and any_failed:
-                    delay = policy.backoff_seconds(failure_rounds)
+                        results[i] = outcome
+                        if relay is not None:
+                            relay.record(i, telemetry)
+                        if journal is not None:
+                            journal.record_done(keys[i])
+                if retry:
+                    delay, key = max(
+                        (policy.backoff_seconds(attempts[i] - 1), keys[i])
+                        for i in retry
+                    )
                     if delay > 0:
-                        backoff_sleep(delay, "")
-                if any_failed:
-                    failure_rounds += 1
-                for indices, pin in resubmits:
-                    submit(indices, pin=pin)
-                outstanding += len(resubmits)
+                        if relay is not None:
+                            relay.span("retry_backoff", delay, key[:12])
+                        _time.sleep(delay)
+                for i in isolate + retry:
+                    submit([i], pin)
+                outstanding += len(isolate) + len(retry)
         except BaseException:
             pool.abandon_all()
             raise

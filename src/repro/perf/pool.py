@@ -32,6 +32,10 @@ worker forks/recycles, batch messages, pickle bytes, cache round-trips),
 which is what ``BENCH_sweep.json`` reports as
 ``dispatch_overhead_per_trial`` and what the CI ``pool-smoke`` job
 asserts on.
+
+:class:`InlinePool` is the same task surface run in the calling process:
+``run_trials`` at ``jobs=1`` and a ``jobs=1`` farm worker use it, so
+:func:`_execute_batch` is the one place a sweep or farm trial runs.
 """
 
 from __future__ import annotations
@@ -44,6 +48,12 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+
+# A module, not its names: execute_trial and spec_key are looked up per
+# batch, so a replacement installed on repro.perf.spec (tests) applies.
+from . import spec as spec_module
+from .cache import TrialCache
+from .resilience import _guarded
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -120,12 +130,15 @@ class PoolTask:
     :class:`~repro.perf.resilience.TrialFailure` values per spec,
     ``False`` (the plain path) aborts the batch and re-raises the
     original exception in the parent.  ``pin`` routes the task to one
-    specific worker slot (isolation after a worker death).
+    specific worker slot (isolation after a worker death).  ``keys`` are
+    the specs' :func:`~repro.perf.spec.spec_key` values when the caller
+    already holds them, so an observed batch does not recompute them.
     """
 
     task_id: int
     indices: Tuple[int, ...]
     specs: Tuple[Any, ...]
+    keys: Tuple[str, ...] = ()
     observed: bool = False
     capture: bool = False
     timeout: Optional[float] = None
@@ -141,8 +154,10 @@ class BatchReply:
     ``items`` aligns with ``task.specs``: ``(outcome, telemetry)`` pairs
     where a failed spec (capture mode) holds a
     :class:`~repro.perf.resilience.TrialFailure` and ``telemetry=None``.
-    ``error`` carries the re-raisable exception of an aborted plain-mode
-    batch.  ``dequeued_at`` is stamped when the worker *picked up* the
+    ``error`` carries the re-raisable exception of an aborted batch (any
+    exception in plain mode; in capture mode one the per-spec guard does
+    not catch, such as ``SystemExit``) and then ``items`` is empty.
+    ``dequeued_at`` is stamped when the worker *picked up* the
     batch — the parent-side ``submitted_at`` minus this is the true
     queue wait, identical for every trial in the batch (trial k's queue
     wait must not absorb trials 1..k-1's execution time).
@@ -159,47 +174,52 @@ class BatchReply:
 # -- worker side -------------------------------------------------------------
 
 
-def _execute_batch(task: PoolTask, caches: Dict[str, Any]) -> BatchReply:
-    """Run one batch in this process (the worker's unit of work).
+def _execute_batch(task: PoolTask, caches: Dict[str, Any],
+                   execute=None) -> BatchReply:
+    """Run one batch in this process: the unit of work of both pools.
 
-    Pure with respect to the worker loop, so tests drive it in-process:
-    queue-wait stamping, per-spec watchdogs, and the batched cache flush
-    are all exercised without forking.
+    ``caches`` maps a cache root to the :class:`~repro.perf.cache.TrialCache`
+    that stores the batch's results (a worker opens its own on first use;
+    :class:`InlinePool` hands in the caller's).  ``execute`` runs one
+    spec (default :func:`~repro.perf.spec.execute_trial`).  Pure with
+    respect to the worker loop, so tests drive it in-process: queue-wait
+    stamping, per-spec watchdogs, and the batched cache flush are all
+    exercised without forking.
     """
-    from ..obs.metrics import MetricsCollector
-    from ..obs.telemetry import capture_telemetry
-    from .cache import TrialCache
-    from .resilience import TrialFailure, _guarded
-    from .spec import execute_trial, spec_key
-
+    if execute is None:
+        execute = spec_module.execute_trial
+    if task.observed:
+        from ..obs.metrics import MetricsCollector
+        from ..obs.telemetry import capture_telemetry
     dequeued = time.time()
     queue_wait = max(0.0, dequeued - task.submitted_at)
     items: List[Tuple[Any, Any]] = []
     store: List[Tuple[Any, Any]] = []
     try:
-        for spec in task.specs:
+        for position, spec in enumerate(task.specs):
             collector = MetricsCollector() if task.observed else None
             started = time.perf_counter()
             if task.capture:
-                outcome, ok = _guarded(spec, task.timeout, collector)
+                outcome, ok = _guarded(spec, task.timeout, collector, execute)
             else:
                 # Plain mode: no watchdog, exceptions abort the batch
                 # (caught below and re-raised parent-side).
-                outcome, ok = execute_trial(spec, collector=collector), True
+                outcome, ok = execute(spec, collector=collector), True
             seconds = time.perf_counter() - started
             telemetry = None
             if task.observed and ok:
                 telemetry = capture_telemetry(
                     spec, outcome, collector.registry,
-                    key=spec_key(spec),
+                    key=task.keys[position] if task.keys
+                    else spec_module.spec_key(spec),
                     spans=(("queue_wait", queue_wait),
                            ("execute", seconds)),
                     seconds=seconds,
                 )
             items.append((outcome, telemetry))
-            if ok and not isinstance(outcome, TrialFailure):
+            if ok:
                 store.append((spec, outcome))
-    except BaseException as exc:  # plain mode only: abort the batch
+    except BaseException as exc:  # abort the batch; the parent settles it
         return BatchReply(task.task_id, error=exc, dequeued_at=dequeued)
 
     stores = put_round_trips = 0
@@ -518,6 +538,63 @@ class WorkerPool:
         worker.process.join(timeout=1.0)
         worker.conn.close()
         self._spawn(worker.wid)
+
+
+class InlinePool:
+    """:class:`WorkerPool`'s task surface, run in the calling process.
+
+    ``wait()`` runs the oldest submitted task through
+    :func:`_execute_batch` with the caller's own ``cache`` object, so
+    in-process results land in that object (its counters, its degraded
+    read-only flag) and the reply reports no stores to fold back.  There
+    is no worker to lose: ``wait()`` never reports a death, and ``pin``
+    is ignored.  ``execute`` runs one spec (default
+    :func:`~repro.perf.spec.execute_trial`).
+    """
+
+    make_task = WorkerPool.make_task
+
+    def __init__(self, cache=None, execute=None):
+        self._caches = {str(cache.root): cache} if cache is not None else {}
+        self._execute = execute
+        self._pending: Deque[PoolTask] = deque()
+        self._next_task_id = 0
+
+    def submit(self, task: PoolTask) -> None:
+        self._pending.append(task)
+
+    def wait(self):
+        task = self._pending.popleft()
+        reply = _execute_batch(task, self._caches, self._execute)
+        return "done", task, BatchReply(
+            task.task_id, reply.items, reply.error, reply.dequeued_at
+        )
+
+    def abandon_all(self) -> None:
+        self._pending.clear()
+
+    @contextmanager
+    def scoped(self, stats: Optional[DispatchStats]):
+        yield self
+
+
+def batch_lost(kind: str, payload) -> Optional[str]:
+    """Why a ``wait()`` result carries no outcomes, or ``None``.
+
+    A worker death and an aborted batch (``BatchReply.error``: an
+    exception the per-spec guard did not catch, or an unpicklable reply)
+    both lose every outcome in the batch, so callers settle them alike.
+    An aborting ``KeyboardInterrupt`` is re-raised: an interrupt is never
+    a trial failure.
+    """
+    if kind == "died":
+        return "worker death (worker recycled in place)"
+    error = payload.error
+    if error is None:
+        return None
+    if isinstance(error, KeyboardInterrupt):
+        raise error
+    return f"batch aborted: {type(error).__name__}: {error}"
 
 
 # -- module-level reuse handle ------------------------------------------------

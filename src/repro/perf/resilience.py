@@ -2,12 +2,13 @@
 
 Three small pieces the executor composes:
 
-* :func:`guarded_execute` — the worker-side entry point.  Runs one spec
-  under a wall-clock watchdog (``SIGALRM``/``setitimer`` where available;
-  pool workers execute tasks on their main thread, so the signal always
-  lands) and converts any in-worker exception or timeout into a
+* :func:`guarded_execute` — the watchdog.  Runs one spec under a
+  wall-clock budget (``SIGALRM``/``setitimer`` where available; pool
+  workers execute tasks on their main thread, so the signal always
+  lands) and converts any trial exception or timeout into a
   :class:`TrialFailure` *value* — failures cross the process boundary as
-  data, not as exceptions, so one bad trial cannot poison a future.
+  data, not as exceptions, so one bad trial cannot poison a batch.  The
+  batch runner (:func:`repro.perf.pool._execute_batch`) uses its core.
 * :class:`QuarantineReport` — the sweep-level record of specs that
   exhausted their retries; sweeps degrade to partial results plus this
   report instead of aborting.
@@ -164,46 +165,18 @@ def guarded_execute(spec: Any, timeout: Optional[float] = None) -> Any:
     return outcome
 
 
-def guarded_execute_observed(spec: Any, timeout: Optional[float],
-                             submitted_at: float, key: str) -> Any:
-    """Like :func:`guarded_execute`, returning ``(outcome, telemetry)``.
+def _guarded(spec: Any, timeout: Optional[float], collector,
+             execute=None) -> tuple:
+    """Shared watchdog core; returns ``(outcome, is_result)``.
 
-    The observed worker entry point of the telemetry relay: the trial
-    runs with a private :class:`~repro.obs.metrics.MetricsCollector`, and
-    a :class:`~repro.obs.telemetry.TrialTelemetry` payload (queue-wait +
-    execute spans, metric deltas) ships back next to the outcome.
-    Failures carry ``telemetry = None`` — a timed-out or crashed trial
-    has no trustworthy registry.  ``key`` is the spec's
-    :func:`~repro.perf.spec.spec_key`, which every caller already holds.
+    ``execute`` runs the spec (default :func:`~repro.perf.spec.execute_trial`).
     """
-    import time
-
-    from ..obs.metrics import MetricsCollector
-    from ..obs.telemetry import capture_telemetry
-
-    queue_wait = max(0.0, time.time() - submitted_at)
-    collector = MetricsCollector()
-    started = time.perf_counter()
-    outcome, result_ok = _guarded(spec, timeout, collector=collector)
-    seconds = time.perf_counter() - started
-    if not result_ok:
-        return outcome, None
-    telemetry = capture_telemetry(
-        spec, outcome, collector.registry,
-        key=key,
-        spans=(("queue_wait", queue_wait), ("execute", seconds)),
-        seconds=seconds,
-    )
-    return outcome, telemetry
-
-
-def _guarded(spec: Any, timeout: Optional[float], collector) -> tuple:
-    """Shared watchdog core; returns ``(outcome, is_result)``."""
-    from .spec import execute_trial
+    if execute is None:
+        from .spec import execute_trial as execute
 
     if not timeout or not _watchdog_available():
         try:
-            return execute_trial(spec, collector=collector), True
+            return execute(spec, collector=collector), True
         except Exception as exc:
             return TrialFailure("error", f"{type(exc).__name__}: {exc}"), False
 
@@ -213,7 +186,7 @@ def _guarded(spec: Any, timeout: Optional[float], collector) -> tuple:
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return execute_trial(spec, collector=collector), True
+        return execute(spec, collector=collector), True
     except _TrialTimeout:
         return (
             TrialFailure("timeout", f"exceeded {timeout:g}s wall clock"),

@@ -31,7 +31,6 @@ from repro.farm import (
     render_status,
     submit_campaign,
 )
-from repro.farm import worker as worker_module
 from repro.farm.store import CLAIM_SQL
 from repro.obs import MetricsCollector
 from repro.obs.events import FarmLeaseExpired, FarmTrialClaimed
@@ -46,6 +45,7 @@ from repro.perf import (
     run_trials,
     spec_key,
 )
+from repro.perf import spec as spec_module
 
 SPECS = [
     SetAgreementTrialSpec(3, 1, seed=seed, stabilization_time=0)
@@ -375,6 +375,28 @@ class TestWorkerDrain:
         assert len(quarantine) == 1
         assert quarantine.entries[0].attempts == 2
 
+    def test_aborted_batch_fails_its_trials_instead_of_raising(
+            self, tmp_path, monkeypatch):
+        real = spec_module.execute_trial
+
+        def execute(spec, collector=None):
+            if spec.seed == 1:
+                raise SystemExit("trial called exit")
+            return real(spec, collector=collector)
+
+        monkeypatch.setattr(spec_module, "execute_trial", execute)
+        store = _store(tmp_path)
+        submit_campaign(store, SPECS[:3], campaign="aborts")
+        policy = ResiliencePolicy(retries=1, backoff=0.0)
+        stats = FarmWorker(store, policy=policy, batch_size=1,
+                           lease_ttl=5.0).drain()
+        assert stats["completed"] == 2 and stats["quarantined"] == 1
+        quarantine = QuarantineReport()
+        results, _ = collect_results(store, "aborts", quarantine=quarantine)
+        assert results[1] is None
+        assert [e.index for e in quarantine.entries] == [1]
+        assert "SystemExit" in quarantine.entries[0].reason
+
     def test_collect_while_in_flight_raises(self, tmp_path):
         store = _store(tmp_path)
         submit_campaign(store, SPECS[:2], campaign="open")
@@ -389,12 +411,11 @@ class TestWorkerDrain:
                       batch_size=None):
         """Drain ``specs`` with trials taking ``trial_seconds`` each;
         returns the ``limit`` of every claim."""
-        def execute(spec, timeout, submitted_at, key):
+        def execute(spec, collector=None):
             time.sleep(trial_seconds)
-            return key, None
+            return spec_key(spec)
 
-        monkeypatch.setattr(worker_module, "guarded_execute_observed",
-                            execute)
+        monkeypatch.setattr(spec_module, "execute_trial", execute)
         limits = []
 
         class LimitLog(SQLiteFarmStore):

@@ -292,7 +292,7 @@ class TestHeartbeatLoss:
         heartbeat = _Heartbeat(worker.store, lease_ttl=30.0)
         heartbeat.track([lease.token for lease in leases])
         heartbeat.lost.set()  # the store went unreachable
-        worker._run_serial(leases, heartbeat)
+        worker._run(leases, heartbeat)
         assert worker.stats["abandoned"] == len(leases)
         assert worker.stats["completed"] == 0
         assert heartbeat.tracked() == []

@@ -139,6 +139,17 @@ class TestCacheBatching:
         assert warm.batches == 0  # fully warm grid never touches the pool
         assert cache.hits == len(SPECS)
 
+    def test_serial_run_counts_trials_and_stores_once(self, tmp_path):
+        cache = TrialCache(tmp_path / "cache")
+        dispatch = DispatchStats()
+        run_trials(SPECS, jobs=1, cache=cache, dispatch=dispatch)
+        assert dispatch.trials == len(SPECS)
+        assert dispatch.batches == 0
+        assert dispatch.pickle_bytes_out == dispatch.pickle_bytes_in == 0
+        # one put per trial, each counted once on the caller's cache
+        assert cache.stores == dispatch.cache_stores == len(SPECS)
+        assert dispatch.cache_put_round_trips == len(SPECS)
+
     def test_get_many_matches_individual_gets(self, tmp_path):
         alpha = TrialCache(tmp_path / "a")
         beta = TrialCache(tmp_path / "b")

@@ -7,7 +7,11 @@ result keeps its deterministic input-order slot.
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +24,13 @@ from repro.perf import (
     SetAgreementTrialSpec,
     TrialCache,
     TrialFailure,
+    WorkerPool,
     guarded_execute,
     run_trials,
     spec_key,
 )
+from repro.perf import executor as executor_module
+from repro.perf import spec as spec_module
 from repro.runtime import (
     NonTerminationError,
     RandomScheduler,
@@ -99,6 +106,19 @@ class TestSerialResilience:
         assert sum(counters["trial_retries"].values()) >= 2
         assert sum(counters["trial_quarantines"].values()) == 1
 
+    def test_backoff_does_not_compound_across_trials(self, tmp_path,
+                                                     monkeypatch):
+        # Each of three trials fails once: every retry sleeps the base
+        # backoff (its own first failure), not backoff * 2**k for the
+        # k-th failure of the sweep.
+        slept = []
+        monkeypatch.setattr(executor_module._time, "sleep", slept.append)
+        specs = [_quick_spec(s, sabotage=f"raise-once:{tmp_path}/flake{s}")
+                 for s in range(3)]
+        results = run_trials(specs, jobs=1, retries=1, backoff=0.25)
+        assert all(r is not None and r.ok for r in results)
+        assert slept == [0.25] * 3
+
     @pytest.mark.skipif(not _HAS_SIGALRM, reason="needs SIGALRM")
     def test_timeout_is_counted_and_quarantined(self):
         collector = MetricsCollector()
@@ -144,6 +164,70 @@ class TestWorkerDeath:
                              quarantine=quarantine, backoff=0)
         assert [r is not None for r in results] == [True, False, False, True]
         assert [e.index for e in quarantine.entries] == [1, 2]
+
+    def test_worker_crash_injection_needs_a_pool(self):
+        # At --jobs 1 the sabotaged trial would os._exit the CLI itself.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "chaos",
+             "--protocols", "fig1", "--sizes", "3", "--seeds", "0,1",
+             "--retries", "1", "--inject-worker-crash", "1", "--no-cache"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--jobs" in proc.stderr
+
+
+class TestAbortedBatch:
+    @staticmethod
+    def _run_poisoned(monkeypatch, error, jobs, quarantine):
+        """Run four specs whose seed-1 trial raises ``error``, which the
+        per-spec guard does not catch, on a pool forked after the patch."""
+        real = spec_module.execute_trial
+
+        def execute(spec, collector=None):
+            if spec.seed == 1:
+                raise error
+            return real(spec, collector=collector)
+
+        monkeypatch.setattr(spec_module, "execute_trial", execute)
+        monkeypatch.setattr(executor_module, "execute_trial", execute)
+        specs = [_quick_spec(s) for s in range(4)]
+        pool = WorkerPool()
+        try:
+            return specs, run_trials(specs, jobs=jobs, retries=1,
+                                     chunk_size=2, backoff=0,
+                                     quarantine=quarantine, pool=pool)
+        finally:
+            pool.shutdown()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_aborted_batch_is_blamed_like_a_worker_death(self, jobs,
+                                                         monkeypatch):
+        # SystemExit aborts the batch; the culprit's batch mates re-run
+        # uncharged, and the culprit is quarantined with the exception
+        # named.
+        quarantine = QuarantineReport()
+        specs, results = self._run_poisoned(
+            monkeypatch, SystemExit("trial called exit"), jobs, quarantine
+        )
+        assert [r is not None for r in results] == [True, False, True, True]
+        assert [e.index for e in quarantine.entries] == [1]
+        assert quarantine.entries[0].attempts == 2
+        assert "SystemExit" in quarantine.entries[0].reason
+        clean = run_trials([specs[0], specs[2], specs[3]], jobs=1)
+        assert [results[0], results[2], results[3]] == clean
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keyboard_interrupt_propagates_uncounted(self, jobs,
+                                                     monkeypatch):
+        quarantine = QuarantineReport()
+        with pytest.raises(KeyboardInterrupt):
+            self._run_poisoned(monkeypatch, KeyboardInterrupt(), jobs,
+                               quarantine)
+        assert len(quarantine) == 0
 
 
 class TestCheckpointJournal:
