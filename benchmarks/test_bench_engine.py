@@ -5,7 +5,8 @@ Times ``Simulation`` steps/sec across the three instrumentation levels
 workload of :func:`repro.obs.profile.profile_engine`, and asserts the
 allocation contract behind the numbers: with no bus attached the engine
 constructs **zero** event objects — the ``bus.active`` gate sits before
-every event constructor, not just before ``publish``.
+every event constructor, not just before ``publish`` — and a live
+collector's bus, which no per-step event reaches, gets none built.
 """
 
 import pytest
@@ -90,13 +91,25 @@ def test_idle_bus_path_allocates_no_event_objects(monkeypatch):
     assert counter.count == 0
 
 
-def test_live_collector_constructs_events(monkeypatch):
-    """Sanity check on the stub: with a subscriber the same workload does
-    construct events (one step event per step, plus memory ops etc.)."""
+def test_streaming_bus_constructs_events(monkeypatch):
+    """Sanity check on the stub: with a catch-all subscriber (what an
+    event stream attaches) the same workload does construct events (one
+    step event per step, plus memory ops etc.)."""
+    counter = _EventCounter()
+    _patch_event_constructors(monkeypatch, counter)
+    bus = EventBus()
+    bus.subscribe(lambda event: None)
+    _run(bus, steps=5_000)
+    assert counter.count >= 5_000
+
+
+def test_live_collector_builds_no_per_step_events(monkeypatch):
+    """A collector counts steps from the trace, so on this workload its
+    bus gets only the output events: one emit per six steps."""
     counter = _EventCounter()
     _patch_event_constructors(monkeypatch, counter)
     _run(MetricsCollector().bus, steps=5_000)
-    assert counter.count >= 5_000
+    assert 0 < counter.count <= 5_000 // 6 + 1
 
 
 def test_profile_engine_reports_all_three_levels():

@@ -223,6 +223,7 @@ def run_set_agreement_trial(
         scheduler=_chaos_scheduler(scheduler, chaos, bus),
         stop_when=Simulation.all_correct_decided,
     )
+    collector.record_run(sim)
     violations = _decision_verdict(
         sim, (AgreementProperty(f), ValidityProperty(inputs))
     )
@@ -309,6 +310,7 @@ def run_extraction_trial(
         max_steps=max_steps,
         scheduler=_chaos_scheduler(RandomScheduler(seed + 1), chaos, bus),
     )
+    collector.record_run(sim)
     outputs = stable_emulated_output(sim, pattern)
     if outputs is None:
         return ExtractionResult(
@@ -422,6 +424,7 @@ def run_converge_trial(
         scheduler=_chaos_scheduler(RandomScheduler(seed), chaos, bus),
         stop_when=Simulation.all_correct_decided,
     )
+    collector.record_run(sim)
     violations = _decision_verdict(
         sim, (ConvergeAgreementProperty(k), ConvergeValidityProperty(inputs))
     )

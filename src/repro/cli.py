@@ -62,14 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig1 = sub.add_parser("fig1", help="Υ-based n-set agreement (Theorem 2)")
-    fig1.add_argument("--processes", type=int, default=4)
+    fig1.add_argument("--processes", type=_process_count, default=4)
     fig1.add_argument("--stabilization", type=int, default=80)
     fig1.add_argument("--seed", type=int, default=0)
     fig1.add_argument("--adversarial", action="store_true",
                       help="lockstep schedule + worst-case noise")
 
     fig2 = sub.add_parser("fig2", help="Υf-based f-set agreement (Theorem 6)")
-    fig2.add_argument("--processes", type=int, default=4)
+    fig2.add_argument("--processes", type=_process_count, default=4)
     fig2.add_argument("--resilience", type=int, default=2, metavar="F")
     fig2.add_argument("--stabilization", type=int, default=80)
     fig2.add_argument("--seed", type=int, default=0)
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[n for n in detector_names() if n != "dummy"],
         default="omega",
     )
-    extract.add_argument("--processes", type=int, default=4)
+    extract.add_argument("--processes", type=_process_count, default=4)
     extract.add_argument("--resilience", type=int, default=None, metavar="F")
     extract.add_argument("--stabilization", type=int, default=60)
     extract.add_argument("--seed", type=int, default=0)
@@ -92,13 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     theorem1.add_argument("--candidate", choices=sorted(_CANDIDATES),
                           default="heartbeat")
-    theorem1.add_argument("--processes", type=int, default=4)
+    theorem1.add_argument("--processes", type=_process_count, default=4)
     theorem1.add_argument("--phases", type=int, default=8)
 
     hierarchy = sub.add_parser(
         "hierarchy", help="print the weaker-than graph around Υ"
     )
-    hierarchy.add_argument("--processes", type=int, default=4)
+    hierarchy.add_argument("--processes", type=_process_count, default=4)
     hierarchy.add_argument("--resilience", type=int, default=None,
                            metavar="F")
 
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--seed", type=int, default=0)
 
     run = sub.add_parser("run", help="one annotated Fig. 1 run")
-    run.add_argument("--processes", type=int, default=3)
+    run.add_argument("--processes", type=_process_count, default=3)
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--show-trace", action="store_true")
 
@@ -119,13 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_sub = stats.add_subparsers(dest="stats_command", required=True)
 
     s_fig1 = stats_sub.add_parser("fig1", help="instrumented Fig. 1 trial")
-    s_fig1.add_argument("--processes", type=int, default=4)
+    s_fig1.add_argument("--processes", type=_process_count, default=4)
     s_fig1.add_argument("--stabilization", type=int, default=80)
     s_fig1.add_argument("--seed", type=int, default=0)
     s_fig1.add_argument("--adversarial", action="store_true")
 
     s_fig2 = stats_sub.add_parser("fig2", help="instrumented Fig. 2 trial")
-    s_fig2.add_argument("--processes", type=int, default=4)
+    s_fig2.add_argument("--processes", type=_process_count, default=4)
     s_fig2.add_argument("--resilience", type=int, default=2, metavar="F")
     s_fig2.add_argument("--stabilization", type=int, default=80)
     s_fig2.add_argument("--seed", type=int, default=0)
@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[n for n in detector_names() if n != "dummy"],
         default="omega",
     )
-    s_extract.add_argument("--processes", type=int, default=4)
+    s_extract.add_argument("--processes", type=_process_count, default=4)
     s_extract.add_argument("--resilience", type=int, default=None, metavar="F")
     s_extract.add_argument("--stabilization", type=int, default=60)
     s_extract.add_argument("--seed", type=int, default=0)
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s_chaos.add_argument("--protocol", choices=CHAOS_PROTOCOLS,
                          default="fig1")
-    s_chaos.add_argument("--processes", type=int, default=4)
+    s_chaos.add_argument("--processes", type=_process_count, default=4)
     s_chaos.add_argument("--resilience", type=int, default=None, metavar="F")
     s_chaos.add_argument(
         "--detector",
@@ -188,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile", help="hot-path timing of the engine itself"
     )
-    profile.add_argument("--processes", type=int, default=4)
+    profile.add_argument("--processes", type=_process_count, default=4)
     profile.add_argument("--repeats", type=int, default=5)
     profile.add_argument("--max-steps", type=int, default=150_000)
     profile.add_argument("--json", action="store_true")
@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mc_check.add_argument("--protocol", choices=sorted(FAMILIES),
                           default="fig1")
-    mc_check.add_argument("--processes", type=int, default=2)
+    mc_check.add_argument("--processes", type=_process_count, default=2)
     mc_check.add_argument("--resilience", type=int, default=None, metavar="F")
     mc_check.add_argument("--depth", type=int, default=14,
                           help="schedule-length bound (exploration horizon)")
@@ -560,8 +560,8 @@ def _add_grid_subparsers(parent, dest: str, chaos_protocols):
         "set-agreement",
         help="Fig. 1 / Fig. 2 grid (defaults = the EXPERIMENTS.md F1 grid)",
     )
-    g_sa.add_argument("--sizes", default="3,4,5", metavar="LIST",
-                      help="system sizes, e.g. 3,4,5")
+    g_sa.add_argument("--sizes", type=_process_counts, default="3,4,5",
+                      metavar="LIST", help="system sizes, e.g. 3,4,5")
     g_sa.add_argument("--stabilizations", default="0,100,300",
                       metavar="LIST", help="Υ stabilization times")
     g_sa.add_argument("--seeds", default="0-19", metavar="LIST",
@@ -578,7 +578,8 @@ def _add_grid_subparsers(parent, dest: str, chaos_protocols):
     g_ex.add_argument("--detectors", default="omega,omega_n,diamond_p",
                       metavar="LIST",
                       help="registry names, e.g. omega,diamond_p")
-    g_ex.add_argument("--sizes", default="3,4", metavar="LIST")
+    g_ex.add_argument("--sizes", type=_process_counts, default="3,4",
+                      metavar="LIST")
     g_ex.add_argument("--seeds", default="0-9", metavar="LIST")
     g_ex.add_argument("--resilience", type=int, default=None, metavar="F")
     g_ex.add_argument("--stabilization", type=int, default=60)
@@ -591,7 +592,8 @@ def _add_grid_subparsers(parent, dest: str, chaos_protocols):
     g_ch.add_argument("--protocols", default="fig1,fig2,abd-converge",
                       metavar="LIST",
                       help=f"chaos protocols ({','.join(chaos_protocols)})")
-    g_ch.add_argument("--sizes", default="3,4", metavar="LIST")
+    g_ch.add_argument("--sizes", type=_process_counts, default="3,4",
+                      metavar="LIST")
     g_ch.add_argument("--seeds", default="0-4", metavar="LIST")
     g_ch.add_argument("--lying-prefixes", default="0,50", metavar="LIST",
                       help="lying-prefix axis, e.g. 0,50,150")
@@ -634,7 +636,7 @@ def _grid_from_args(command: str, args):
 
     if command == "set-agreement":
         return set_agreement_grid(
-            system_sizes=_parse_int_list(args.sizes),
+            system_sizes=args.sizes,
             seeds=_parse_int_list(args.seeds),
             stabilization_times=_parse_int_list(args.stabilizations),
             fs=_parse_int_list(args.fs) if args.fs else None,
@@ -645,7 +647,7 @@ def _grid_from_args(command: str, args):
             protocols=[
                 p.strip() for p in args.protocols.split(",") if p.strip()
             ],
-            system_sizes=_parse_int_list(args.sizes),
+            system_sizes=args.sizes,
             seeds=_parse_int_list(args.seeds),
             lying_prefixes=_parse_int_list(args.lying_prefixes),
             drop_rates=_parse_float_list(args.drop_rates),
@@ -665,7 +667,7 @@ def _grid_from_args(command: str, args):
         detectors=[
             d.strip() for d in args.detectors.split(",") if d.strip()
         ],
-        system_sizes=_parse_int_list(args.sizes),
+        system_sizes=args.sizes,
         seeds=_parse_int_list(args.seeds),
         f=args.resilience,
         stabilization_time=args.stabilization,
@@ -707,6 +709,31 @@ def _parse_int_list(text: str) -> list:
         else:
             out.append(int(part))
     return out
+
+
+def _process_count(text: str) -> int:
+    """argparse ``type=`` of every process-count flag: ``--processes``,
+    and each entry of ``--sizes`` through :func:`_process_counts`."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a process count: {text!r}") from None
+    if count < 2:
+        raise argparse.ArgumentTypeError(
+            f"a distributed system needs at least 2 processes, got {count}"
+        )
+    return count
+
+
+def _process_counts(text: str) -> list:
+    """A ``--sizes`` LIST (ranges allowed) of :func:`_process_count` values."""
+    try:
+        counts = _parse_int_list(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a list of process counts: {text!r}") from None
+    return [_process_count(str(count)) for count in counts]
 
 
 def _parse_float_list(text: str) -> list:
@@ -919,7 +946,7 @@ def _cmd_stats(args) -> int:
     print(headline)
     print()
     print(collector.registry.render())
-    stab = collector.stabilization_times()
+    stab = collector.registry.get("emit_stabilization_time").items()
     print()
     if stab:
         settled = ", ".join(
@@ -1592,7 +1619,14 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from .runtime import NonTerminationError
 
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # A single run's f must fit its system (grids take --sizes instead).
+    f, processes = (getattr(args, "resilience", None),
+                    getattr(args, "processes", None))
+    if f is not None and processes is not None and not 0 <= f < processes:
+        parser.error(f"argument --resilience: f={f} outside "
+                     f"0..{processes - 1} for --processes {processes}")
     try:
         return _COMMANDS[args.command](args)
     except NonTerminationError as exc:

@@ -263,7 +263,8 @@ class Memory:
         self.op_count = 0
         #: Optional :class:`~repro.obs.events.EventBus`; the simulation
         #: attaches its own bus here so every dispatched operation is
-        #: published as a :class:`~repro.obs.events.MemoryOp` event.
+        #: published as a :class:`~repro.obs.events.MemoryOp` event to
+        #: the bus's ``MemoryOp`` and catch-all subscribers.
         self.bus = None
         #: Optional :class:`MemoryJournal`; costs one ``is None`` test per
         #: operation while detached.
@@ -436,17 +437,19 @@ class Memory:
         self.op_count += 1
         bus = self.bus
         if bus is not None and bus.active:
-            try:
-                key = op.key
-            except AttributeError:  # exotic op without a key slot
-                key = None
-            event = MemoryOp(-1, pid, op.__class__.__name__, key)
-            # Inline of ``EventBus.publish`` (kept in sync with it):
-            # instrumented runs come through here about once per step.
+            # Inline of ``EventBus.wants`` + ``publish`` (kept in sync
+            # with them): instrumented runs come through here about once
+            # per step, and only a subscriber to MemoryOp (or to every
+            # event) gets one built.
             handler = bus._dispatch.get(MemoryOp)
-            if handler is not None:
-                handler(event)
-            if bus._catch_all:
+            if handler is not None or bus._catch_all:
+                try:
+                    key = op.key
+                except AttributeError:  # exotic op without a key slot
+                    key = None
+                event = MemoryOp(-1, pid, op.__class__.__name__, key)
+                if handler is not None:
+                    handler(event)
                 for handler in bus._catch_all:
                     handler(event)
         handlers = self._HANDLERS

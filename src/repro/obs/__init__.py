@@ -5,11 +5,13 @@ shared memory, network — but pays (almost) nothing when nobody listens:
 
 * :mod:`repro.obs.events` — typed events and the :class:`EventBus`.  The
   engine publishes only when ``bus.active`` is true, so un-instrumented
-  runs keep their hot path.
+  runs keep their hot path, and builds the per-step events only for a
+  subscriber of their type or of every event (``bus.wants``).
 * :mod:`repro.obs.metrics` — counters, gauges and histograms in a
-  :class:`MetricsRegistry`, plus the :class:`MetricsCollector` subscriber
-  that turns the event stream into the run-level quantities the paper
-  cares about (step mix, FD-query mix, emit churn, stabilization times).
+  :class:`MetricsRegistry`, plus the :class:`MetricsCollector` that fills
+  it with the run-level quantities the paper cares about: the step mix,
+  FD-query mix, emit churn and stabilization times from the trace
+  (:meth:`MetricsCollector.record_run`), the rest from the event bus.
 * :mod:`repro.obs.telemetry` — the cross-process relay: workers ship a
   :class:`TrialTelemetry` payload per trial, and the parent's
   :class:`TelemetryRelay` merges them in input order, so ``--jobs 4``
@@ -32,6 +34,7 @@ Quickstart::
     collector = MetricsCollector()          # owns a bus + registry
     sim = Simulation(..., bus=collector.bus)
     sim.run(10_000)
+    collector.record_run(sim)               # engine counters, from the trace
     print(collector.registry.render())
 """
 

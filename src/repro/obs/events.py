@@ -20,10 +20,14 @@ Every layer of the engine publishes a small set of typed events:
 Publishing is gated on :attr:`EventBus.active`, which is true only while at
 least one subscriber is attached.  The engine's fast path is therefore a
 single attribute test per potential event — runs without subscribers pay
-essentially nothing (see ``python -m repro profile``).
+essentially nothing (see ``python -m repro profile``).  The three per-step
+events — :class:`StepTaken`, :class:`FDQueried` and :class:`MemoryOp` —
+are further gated on :meth:`EventBus.wants`: they are built only when a
+subscriber asked for their type or for every event, so a bus that only
+counts (the run's trace already holds every step) gets none of them.
 
 Events are ``__slots__`` dataclasses and are *immutable by convention*:
-an instrumented run constructs one :class:`StepTaken` plus roughly one
+a streamed run constructs one :class:`StepTaken` plus roughly one
 :class:`MemoryOp` per atomic step, and the slotted plain-assignment
 ``__init__`` costs about a third of a ``frozen=True`` one (which routes
 every field through ``object.__setattr__``).  Subscribers must treat
@@ -342,7 +346,9 @@ class EventBus:
     Subscribers register for specific event types or for everything.
     :attr:`active` flips true only while at least one subscriber exists;
     publishers are expected to gate on it, so an idle bus costs publishers
-    a single attribute read.
+    a single attribute read.  Publishers of the per-step events also check
+    :meth:`wants` (a typed or catch-all subscriber for the event's type)
+    before building one.
 
     Internally ``_by_type`` keeps the bookkeeping lists (for unsubscribe
     and counting) while ``_dispatch`` holds ONE callable per event type —
@@ -417,6 +423,12 @@ class EventBus:
                 del self._by_type[kind]
             self._recompose(kind)
         self.active = bool(self._catch_all or self._by_type)
+
+    def wants(self, kind: Type[Event]) -> bool:
+        """Whether a ``kind`` event would reach a subscriber — a typed one
+        or a catch-all.  Publishers of per-step events check this before
+        building one."""
+        return kind in self._dispatch or bool(self._catch_all)
 
     def subscriber_count(self) -> int:
         seen: List[Subscriber] = list(self._catch_all)

@@ -6,38 +6,36 @@ the fact; :meth:`MetricsRegistry.snapshot` serializes everything to plain
 JSON types and :meth:`MetricsRegistry.render` tabulates it on top of
 :class:`repro.analysis.stats.Summary`.
 
-:class:`MetricsCollector` is the standard bus subscriber: it wires the
-typed events of :mod:`repro.obs.events` into the run-level quantities the
-paper's experiments report — step counts per pid, the FD-query and
-memory-op mix, message latency, emit churn and stabilization times.
+:class:`MetricsCollector` fills a registry with the run-level quantities
+the paper's experiments report.  Step counts per pid, the FD-query and
+memory-op mix, decisions, emit churn, stabilization times and crashes are
+read from the recorded run by :meth:`MetricsCollector.record_run`; the
+typed events of :mod:`repro.obs.events` supply what a trace does not
+hold — message latency, chaos injections and the harness counters.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+from collections import Counter
+from itertools import compress, repeat
+from operator import attrgetter
 from typing import Any, Dict, Hashable, List, Optional, Union
 
 from .events import (
     AuditDivergence,
     ChaosInjected,
-    Decided,
-    EmitChanged,
     EventBus,
     FarmLeaseExpired,
     FarmTrialClaimed,
-    FDQueried,
     InfraFaultInjected,
-    MemoryOp,
     MessageDelayed,
     MessageDelivered,
     MessageDropped,
     MessageDuplicated,
     MessageSent,
-    ProcessCrashed,
     ProtocolViolated,
     SchedulerDecision,
-    StepTaken,
     TrialCompleted,
     TrialQuarantined,
     TrialRetried,
@@ -51,6 +49,9 @@ SPAN_METRIC_PREFIX = "span_"
 
 #: The default label for unlabelled observations.
 _NO_LABEL = ""
+
+_PID = attrgetter("pid")
+_OP = attrgetter("op")
 
 Label = Hashable
 
@@ -149,33 +150,14 @@ class MetricsRegistry:
             )
         return metric
 
-    # counter/gauge/histogram repeat ``_get_or_create``'s body instead of
-    # delegating: a fresh collector registers ~27 metrics per observed
-    # trial, and the extra frame per registration is visible in sweeps.
-
     def counter(self, name: str, help: str = "") -> CounterMetric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = CounterMetric(name, help)
-        elif not isinstance(metric, CounterMetric):
-            return self._get_or_create(name, CounterMetric, help)
-        return metric
+        return self._get_or_create(name, CounterMetric, help)
 
     def gauge(self, name: str, help: str = "") -> GaugeMetric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = GaugeMetric(name, help)
-        elif not isinstance(metric, GaugeMetric):
-            return self._get_or_create(name, GaugeMetric, help)
-        return metric
+        return self._get_or_create(name, GaugeMetric, help)
 
     def histogram(self, name: str, help: str = "") -> HistogramMetric:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = HistogramMetric(name, help)
-        elif not isinstance(metric, HistogramMetric):
-            return self._get_or_create(name, HistogramMetric, help)
-        return metric
+        return self._get_or_create(name, HistogramMetric, help)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -266,17 +248,19 @@ class MetricsRegistry:
 
 
 class MetricsCollector:
-    """The standard subscriber: events in, run-level metrics out.
+    """The standard collector: run-level metrics from the trace and the bus.
 
-    Owns (or shares) an :class:`EventBus` and a :class:`MetricsRegistry`;
-    pass ``collector.bus`` to :class:`~repro.runtime.simulation.Simulation`
-    and read ``collector.registry`` (or :meth:`snapshot`) afterwards.
+    Pass ``collector.bus`` to :class:`~repro.runtime.simulation.Simulation`,
+    call :meth:`record_run` once the run is over, then read
+    ``collector.registry`` (or :meth:`snapshot`).  The engine counters
+    come from the recorded run; the bus subscriptions cover the facts a
+    trace does not hold — network, chaos, scheduler-decision,
+    protocol-violation and harness events.
     """
 
-    #: Counter (name, help, attribute) triples for the fresh-registry
-    #: construction fast path in ``__init__`` — kept in sync with the
-    #: ``registry.counter(...)`` calls of the shared-registry path (the
-    #: construction-equivalence test compares the two snapshots).
+    #: Counter (name, help, attribute) triples; ``__init__`` builds them
+    #: straight into its empty registry, since sweeps construct one
+    #: collector per trial.
     _METRIC_SPECS = (
         ("steps_total", "atomic steps per process", "_steps"),
         ("fd_queries", "detector queries per process", "_fd"),
@@ -318,99 +302,22 @@ class MetricsCollector:
          "completed trials whose verdict failed", "_trial_violations"),
     )
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        bus: Optional[EventBus] = None,
-    ):
-        if registry is None:
-            # Fresh-registry fast path: the sweep executors build one
-            # collector per observed trial, so construct the metrics
-            # directly into the empty registry — no names can collide,
-            # and the ``counter()`` round trip (method call, lookup,
-            # isinstance check) times ~28 metrics is measurable against
-            # a short trial.  A caller-supplied registry may already
-            # hold metrics and keeps the checked path below.
-            self.registry = r = MetricsRegistry()
-            self.bus = bus if bus is not None else EventBus()
-            m = r._metrics
-            for name, help_, attr in self._METRIC_SPECS:
-                metric = CounterMetric(name, help_)
-                m[name] = metric
-                setattr(self, attr, metric)
-            self._latency = m["message_latency"] = HistogramMetric(
-                "message_latency", "delivery − send time")
-            self._decision_time = m["decision_time"] = GaugeMetric(
-                "decision_time", "step of first decide")
-            self._stab = m["emit_stabilization_time"] = GaugeMetric(
-                "emit_stabilization_time",
-                "time of the last emit-value change")
-            self._emitted_once = set()
-            self._wire(self.bus)
-            return
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.bus = bus if bus is not None else EventBus()
-        r = self.registry
-        self._steps = r.counter("steps_total", "atomic steps per process")
-        self._fd = r.counter("fd_queries", "detector queries per process")
-        self._mem = r.counter("memory_ops", "shared-object operation mix")
-        self._sent = r.counter("messages_sent", "messages entering the network")
-        self._delivered = r.counter("messages_delivered", "messages drained")
-        self._latency = r.histogram("message_latency", "delivery − send time")
-        self._crashes = r.counter("crashes", "pattern-induced crashes")
-        self._decisions = r.counter("decisions", "decide outputs per process")
-        self._decision_time = r.gauge("decision_time", "step of first decide")
-        self._emits = r.counter("emits", "emit outputs per process")
-        self._churn = r.counter("emit_changes",
-                                "emit-value changes after the first emit")
-        self._stab = r.gauge("emit_stabilization_time",
-                             "time of the last emit-value change")
-        self._violations = r.counter("protocol_violations", "contract breaches")
-        self._sched = r.counter("scheduler_choices",
-                                "ObservedScheduler picks per process")
-        self._chaos = r.counter("chaos_injections",
-                                "active chaos knobs / perturbations by kind")
-        self._dropped = r.counter("messages_dropped",
-                                  "chaos-discarded message copies")
-        self._duplicated = r.counter("messages_duplicated",
-                                     "chaos-added message copies")
-        self._delayed = r.counter("messages_delayed",
-                                  "chaos reorder-jittered messages")
-        self._retries = r.counter("trial_retries",
-                                  "harness re-runs of failed trials")
-        self._quarantines = r.counter("trial_quarantines",
-                                      "trials given up on after retries")
-        self._timeouts = r.counter("trial_timeouts",
-                                   "trials cut short by the watchdog")
-        self._infra_faults = r.counter(
-            "infra_faults_injected",
-            "infra chaos injections by component:kind")
-        self._audit = r.counter("audit_divergences",
-                                "equivalence breaks found by the "
-                                "differential audit, by oracle pair")
-        self._farm_claims = r.counter(
-            "farm_trials_claimed", "farm store leases granted, by worker")
-        self._farm_expiries = r.counter(
-            "farm_leases_expired", "dead-worker leases reaped, by holder")
-        self._trials_completed = r.counter(
-            "trials_completed", "finished trials by spec kind")
-        self._trials_cached = r.counter(
-            "trials_cached", "trials served from the disk cache, by kind")
-        self._trial_violations = r.counter(
-            "trial_violations", "completed trials whose verdict failed")
-        self._emitted_once: set = set()
-        self._wire(self.bus)
-
-    def _wire(self, bus: EventBus) -> None:
-        bus.subscribe_map({
-            StepTaken: self._on_step,
-            FDQueried: self._on_fd,
-            MemoryOp: self._on_memory,
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.bus = EventBus()
+        m = self.registry._metrics
+        for name, help_, attr in self._METRIC_SPECS:
+            metric = m[name] = CounterMetric(name, help_)
+            setattr(self, attr, metric)
+        self._latency = m["message_latency"] = HistogramMetric(
+            "message_latency", "delivery − send time")
+        self._decision_time = m["decision_time"] = GaugeMetric(
+            "decision_time", "step of first decide")
+        self._stab = m["emit_stabilization_time"] = GaugeMetric(
+            "emit_stabilization_time", "time of the last emit-value change")
+        self.bus.subscribe_map({
             MessageSent: self._on_sent,
             MessageDelivered: self._on_delivered,
-            ProcessCrashed: self._on_crash,
-            Decided: self._on_decided,
-            EmitChanged: self._on_emit,
             ProtocolViolated: self._on_violation,
             SchedulerDecision: self._on_sched,
             ChaosInjected: self._on_chaos,
@@ -428,27 +335,54 @@ class MetricsCollector:
             TrialCompleted: self._on_trial_completed,
         })
 
+    # -- the recorded run --------------------------------------------------
+
+    def record_run(self, sim) -> None:
+        """Count what ``sim``'s trace and final process states record.
+
+        The steps give steps and detector queries per process and the
+        shared-object operation mix.  The outputs give decisions and
+        their times, emits, emit changes after the first emit, and the
+        time of each process's last change (as
+        :meth:`~repro.runtime.trace.Trace.emit_change_count` and
+        :meth:`~repro.runtime.trace.Trace.emit_stabilization_time`
+        compute them).  The runtimes give the crashed processes.  Call
+        it once per run, after the run.
+        """
+        from ..runtime.ops import SHARED_OBJECT_OPS, QueryFD
+        from ..runtime.process import ProcessStatus
+
+        trace = sim.trace
+        # Per-step columns, counted in C: a long trial has tens of
+        # thousands of steps but only a handful of pids and op types.
+        pids = list(map(_PID, trace.steps))
+        op_types = list(map(type, map(_OP, trace.steps)))
+        for pid, count in Counter(pids).items():
+            self._steps.inc(pid, count)
+        for op_type, count in Counter(op_types).items():
+            if issubclass(op_type, SHARED_OBJECT_OPS):
+                self._mem.inc(op_type.__name__, count)
+        queries = compress(pids, map(issubclass, op_types, repeat(QueryFD)))
+        for pid, count in Counter(queries).items():
+            self._fd.inc(pid, count)
+        last_emit: Dict[Any, Any] = {}
+        for record in trace.outputs:
+            pid = record.pid
+            if record.kind == "decide":
+                self._decisions.inc(pid)
+                self._decision_time.set(record.time, pid)
+                continue
+            self._emits.inc(pid)
+            if pid not in last_emit or last_emit[pid] != record.value:
+                if pid in last_emit:
+                    self._churn.inc(pid)
+                self._stab.set(record.time, pid)
+            last_emit[pid] = record.value
+        for pid, runtime in sim.runtimes.items():
+            if runtime.status is ProcessStatus.CRASHED:
+                self._crashes.inc(pid)
+
     # -- handlers ----------------------------------------------------------
-    #
-    # The step / fd / memory handlers fire once or twice per atomic step of
-    # an instrumented run; they update their counter's label dict directly
-    # (same module — the dict *is* the counter's storage) instead of going
-    # through ``CounterMetric.inc``, saving a method call per event.
-
-    def _on_step(self, event: StepTaken) -> None:
-        values = self._steps._values
-        pid = event.pid
-        values[pid] = values.get(pid, 0) + 1
-
-    def _on_fd(self, event: FDQueried) -> None:
-        values = self._fd._values
-        pid = event.pid
-        values[pid] = values.get(pid, 0) + 1
-
-    def _on_memory(self, event: MemoryOp) -> None:
-        values = self._mem._values
-        kind = event.kind
-        values[kind] = values.get(kind, 0) + 1
 
     def _on_sent(self, event: MessageSent) -> None:
         self._sent.inc(event.sender)
@@ -456,21 +390,6 @@ class MetricsCollector:
     def _on_delivered(self, event: MessageDelivered) -> None:
         self._delivered.inc(event.dest)
         self._latency.observe(event.latency)
-
-    def _on_crash(self, event: ProcessCrashed) -> None:
-        self._crashes.inc(event.pid)
-
-    def _on_decided(self, event: Decided) -> None:
-        self._decisions.inc(event.pid)
-        self._decision_time.set(event.time, event.pid)
-
-    def _on_emit(self, event: EmitChanged) -> None:
-        self._emits.inc(event.pid)
-        if event.changed:
-            self._stab.set(event.time, event.pid)
-            if event.pid in self._emitted_once:
-                self._churn.inc(event.pid)
-        self._emitted_once.add(event.pid)
 
     def _on_violation(self, event: ProtocolViolated) -> None:
         self._violations.inc(event.pid)
@@ -526,16 +445,6 @@ class MetricsCollector:
             self._trial_violations.inc(event.kind)
 
     # -- results -----------------------------------------------------------
-
-    def stabilization_times(self) -> Dict[Any, float]:
-        """Per-pid time of the last emit-value change (cf.
-        :meth:`repro.runtime.trace.Trace.emit_stabilization_time`)."""
-        return self._stab.items()
-
-    def emit_churn(self) -> Dict[Any, int]:
-        """Per-pid emit-change counts (cf.
-        :meth:`repro.runtime.trace.Trace.emit_change_count`)."""
-        return self._churn.items()
 
     def snapshot(self) -> Dict[str, Any]:
         return self.registry.snapshot()

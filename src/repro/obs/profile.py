@@ -10,7 +10,8 @@ Two instruments live here:
   synthetic workload (a lockstep loop over every hot operation kind:
   register writes/reads, snapshot updates/scans, detector queries,
   emits) in three configurations — no bus, idle bus, live metrics
-  collector — and reports steps/sec with overhead percentages.  This is
+  collector (its end-of-run ``record_run`` pass included) — and reports
+  steps/sec with overhead percentages.  This is
   the regression instrument behind ``python -m repro profile``: the idle
   bus must stay within a few percent of the raw engine.
 
@@ -215,12 +216,19 @@ def _hotpath_workload(n_processes: int, bus):
     )
 
 
-def _timed_steps_per_sec(n_processes: int, max_steps: int, bus) -> tuple:
+def _timed_steps_per_sec(
+    n_processes: int, max_steps: int, bus, collector=None
+) -> tuple:
+    """Steps taken and steps/sec of one workload run; with a
+    ``collector`` its :meth:`~repro.obs.metrics.MetricsCollector.record_run`
+    pass is timed with the run, as a trial pays it."""
     from ..runtime.scheduler import RoundRobinScheduler
 
     sim = _hotpath_workload(n_processes, bus)
     start = time.perf_counter()
     sim.run(max_steps=max_steps, scheduler=RoundRobinScheduler())
+    if collector is not None:
+        collector.record_run(sim)
     wall = time.perf_counter() - start
     return sim.time, sim.time / wall if wall > 0 else float("inf")
 
@@ -243,7 +251,11 @@ def profile_engine(
     from .events import EventBus
     from .metrics import MetricsCollector
 
-    factories = (lambda: None, EventBus, lambda: MetricsCollector().bus)
+    def live() -> tuple:
+        collector = MetricsCollector()
+        return collector.bus, collector
+
+    factories = (lambda: (None,), lambda: (EventBus(),), live)
     names = ("baseline", "idle_bus", "metrics")
     best = [0.0, 0.0, 0.0]
     samples: Dict[str, List[float]] = {name: [] for name in names}
@@ -253,7 +265,7 @@ def profile_engine(
     for _ in range(repeats):
         for index, factory in enumerate(factories):
             steps, sps = _timed_steps_per_sec(
-                n_processes, max_steps, factory()
+                n_processes, max_steps, *factory()
             )
             best[index] = max(best[index], sps)
             samples[names[index]].append(sps)

@@ -302,13 +302,15 @@ class Simulation:
             ))
         bus = self.bus
         if bus is not None and bus.active:
-            event = StepTaken(self.time, pid, op, response)
-            # Inline of ``EventBus.publish`` (kept in sync with it):
-            # this is the highest-frequency publish site in the engine.
+            # Inline of ``EventBus.wants`` + ``publish`` (kept in sync
+            # with them): this is the highest-frequency publish site in
+            # the engine, and a bus that only counts (the trace already
+            # holds every step) builds no event here.
             handler = bus._dispatch.get(StepTaken)
-            if handler is not None:
-                handler(event)
-            if bus._catch_all:
+            if handler is not None or bus._catch_all:
+                event = StepTaken(self.time, pid, op, response)
+                if handler is not None:
+                    handler(event)
                 for handler in bus._catch_all:
                     handler(event)
         self.time += 1
@@ -332,6 +334,8 @@ class Simulation:
     # ``isinstance`` chain.  When the bus is inactive no event object is
     # ever constructed — the gate sits before the constructor call, so an
     # uninstrumented run allocates nothing beyond its :class:`StepRecord`.
+    # The per-step events (``StepTaken``, ``FDQueried``, ``MemoryOp``) are
+    # built only for a subscriber of their type or of every event.
 
     def _exec_shared(self, op: Operation, pid: int) -> Any:
         return self.memory.execute(op, pid)
@@ -344,7 +348,7 @@ class Simulation:
             )
         value = self.history.value(pid, self.time)
         bus = self.bus
-        if bus is not None and bus.active:
+        if bus is not None and bus.active and bus.wants(FDQueried):
             bus.publish(FDQueried(self.time, pid, value))
         return value
 

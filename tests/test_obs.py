@@ -1,8 +1,8 @@
 """Tests for the observability layer: event bus, metrics, profiler, exporters.
 
-The load-bearing property throughout: everything the collector reports
-from the event stream must agree with what the trace says after the fact —
-the bus is a live view of the same run, not a second source of truth.
+The load-bearing property throughout: the trace is the one source of truth
+for what a run did — the collector counts the engine's steps from it, and
+the bus is a live view of the same run for whoever streams it.
 """
 
 import io
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import cli
-from repro.detectors import ConstantHistory, UpsilonSpec
+from repro.detectors import UpsilonSpec
 from repro.failures import FailurePattern
 from repro.obs import (
     EventBus,
@@ -25,7 +25,6 @@ from repro.obs import (
 )
 from repro.obs.events import (
     Decided,
-    EmitChanged,
     FDQueried,
     MemoryOp,
     MessageDelivered,
@@ -36,7 +35,13 @@ from repro.obs.events import (
     combined,
 )
 from repro.obs.export import event_to_dict, load_events
+from repro.perf import (
+    ExtractionTrialSpec,
+    SetAgreementTrialSpec,
+    execute_trial,
+)
 from repro.core import make_upsilon_set_agreement
+from repro.runtime.ops import SHARED_OBJECT_OPS
 from repro.runtime import (
     Decide,
     Emit,
@@ -166,31 +171,25 @@ class TestMetricsPrimitives:
         assert "(total)" in text
         assert MetricsRegistry().render() == "(no metrics recorded)"
 
-    def test_collector_construction_paths_are_equivalent(self):
-        """The fresh-registry fast path of ``MetricsCollector.__init__``
-        must register exactly what the checked shared-registry path does
-        (``_METRIC_SPECS`` is kept in sync with it by hand)."""
-        fast = MetricsCollector()
-        slow = MetricsCollector(registry=MetricsRegistry())
-        assert fast.snapshot() == slow.snapshot()
-        assert (fast.registry._metrics.keys()
-                == slow.registry._metrics.keys())
-        for name, metric in fast.registry._metrics.items():
-            other = slow.registry.get(name)
-            assert type(metric) is type(other)
-            assert metric.help == other.help
-        assert (fast.bus.subscriber_count()
-                == slow.bus.subscriber_count())
+
+class _SimKeepingCollector(MetricsCollector):
+    """A collector that keeps the simulation a driver hands to
+    :meth:`record_run`, so a test can read the trial's trace."""
+
+    def record_run(self, sim):
+        self.sim = sim
+        super().record_run(sim)
 
 
 class TestCollectorAgainstTrace:
-    """The collector's live quantities must match the trace's post-hoc ones."""
+    """The collector's counters must match the trace's own queries."""
 
     def _run(self, crash=None):
         collector = MetricsCollector()
         sim = _fig1_sim(crash=crash, bus=collector.bus)
         sim.run_until(Simulation.all_correct_decided, 200_000,
                       RandomScheduler(11))
+        collector.record_run(sim)
         return collector, sim
 
     def test_step_and_fd_counts(self):
@@ -210,13 +209,19 @@ class TestCollectorAgainstTrace:
                 == len(sim.trace.decisions()))
 
     def test_emit_semantics_match_trace(self):
-        collector, sim = self._run()
-        for pid in sim.trace.participants():
-            expected = sim.trace.emit_change_count(pid)
-            assert collector.emit_churn().get(pid, 0) == expected
-            stab = sim.trace.emit_stabilization_time(pid)
-            if stab is not None:
-                assert collector.stabilization_times()[pid] == stab
+        """On a Fig. 3 run whose outputs change (Ω, n+1=3, seed 0 changes
+        them 7, 9 and 11 times), churn and settle times match the trace."""
+        collector = _SimKeepingCollector()
+        execute_trial(ExtractionTrialSpec("omega", 3, 0), collector=collector)
+        trace = collector.sim.trace
+        churn = collector.registry.get("emit_changes")
+        settled = collector.registry.get("emit_stabilization_time")
+        changed = 0
+        for pid in trace.participants():
+            assert churn.value(pid) == trace.emit_change_count(pid)
+            assert settled.value(pid) == trace.emit_stabilization_time(pid)
+            changed += trace.emit_change_count(pid) > 0
+        assert changed >= 1
 
     def test_crashes_counted(self):
         collector, sim = self._run(crash={0: 15})
@@ -229,6 +234,40 @@ class TestCollectorAgainstTrace:
         text = collector.render()
         assert "steps_total" in text
         assert "fd_queries" in text
+
+
+class TestPerStepEventGate:
+    """``StepTaken``, ``FDQueried`` and ``MemoryOp`` are built only for a
+    subscriber of their type or of every event."""
+
+    def test_no_event_is_built_when_nobody_listens(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        for kind in (StepTaken, FDQueried, MemoryOp):
+            monkeypatch.setattr(kind, "__init__", refuse)
+        for spec in (SetAgreementTrialSpec(3, 2, 0, 100),
+                     ExtractionTrialSpec("omega", 3, 0, max_steps=2_000)):
+            result = execute_trial(spec)
+            assert sum(result.metrics["counters"]["steps_total"].values()) \
+                == result.total_steps
+
+    def test_catch_all_still_gets_every_per_step_event(self):
+        collector = _SimKeepingCollector()
+        seen = []
+        collector.bus.subscribe(seen.append)
+        execute_trial(ExtractionTrialSpec("omega", 3, 0, max_steps=2_000),
+                      collector=collector)
+        steps = collector.sim.trace.steps
+
+        def count(kind):
+            return sum(type(event) is kind for event in seen)
+
+        assert count(StepTaken) == len(steps)
+        assert count(FDQueried) == sum(
+            isinstance(s.op, QueryFD) for s in steps) > 0
+        assert count(MemoryOp) == sum(
+            isinstance(s.op, SHARED_OBJECT_OPS) for s in steps) > 0
 
 
 class TestMemoryAndNetworkEvents:

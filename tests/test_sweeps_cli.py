@@ -130,6 +130,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nonsense"])
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["stats", "fig1", "--processes", "1"], "--processes"),
+        (["run", "--processes", "1"], "--processes"),
+        (["fig1", "--processes", "0"], "--processes"),
+        (["profile", "--processes", "1"], "--processes"),
+        (["check", "--processes", "1"], "--processes"),
+        (["sweep", "set-agreement", "--sizes", "1", "--seeds", "0",
+          "--no-cache"], "--sizes"),
+        (["sweep", "extraction", "--sizes", "3,1", "--no-cache"], "--sizes"),
+        (["submit", "chaos", "--sizes", "0-3", "--store", "unused.db"],
+         "--sizes"),
+        (["fig2", "--processes", "2"], "--resilience"),
+        (["stats", "extract", "--processes", "3", "--resilience", "3"],
+         "--resilience"),
+        (["extract", "--processes", "3", "--resilience", "-1"],
+         "--resilience"),
+    ])
+    def test_bad_process_count_or_resilience_is_a_usage_error(
+        self, capsys, argv, flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0], errors
+
 
 class TestDetectorRegistry:
     def test_names(self):
