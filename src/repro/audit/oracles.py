@@ -190,6 +190,7 @@ def _cache(case: int, seed: int, sabotage: str) -> CaseOutcome:
             )
             cache.put(specs[0], poisoned)
         warm = run_trials(specs, jobs=1, cache=cache)
+        cache.close()
     for label, results in (("cold", cold), ("warm", warm)):
         for index, (spec, expected, got) in enumerate(
             zip(specs, baseline, results)

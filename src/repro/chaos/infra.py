@@ -21,7 +21,7 @@ The pieces:
   events;
 * :class:`FaultyStore` / :class:`FaultyCache` — wrappers injecting
   ``database is locked``, torn-process kills at named barriers, ENOSPC
-  on cache writes, truncated cache entries;
+  on cache commits, truncated cache entries;
 * :func:`tear_ledger_tail` — a kill mid-ledger-append;
 * :func:`check_store_invariants` — the farm's exactly-once contract as
   executable assertions over a drained campaign;
@@ -104,11 +104,13 @@ class InfraFaultPlan:
     kill_at:
         Which crossing of ``kill_barrier`` dies (0 = the first).
     cache_enospc_after:
-        Cache writes before an injected ``OSError(ENOSPC)`` flips the
-        cache into degraded read-only mode (``-1`` = never).
+        Cache commits (one per ``put_many`` batch) that succeed before
+        an injected ``OSError(ENOSPC)`` fails one, storing none of its
+        batch and flipping the cache into degraded read-only mode
+        (``-1`` = never).
     cache_truncate_rate:
-        Per-read probability that the entry file is truncated on disk
-        first, exercising the corrupt-entry recovery path.
+        Per-row probability that a read finds the stored blob halved,
+        exercising the corrupt-entry recovery path.
     ledger_tear:
         Exercise a kill mid-ledger-append (torn tail) and assert every
         complete record survives.
@@ -284,7 +286,7 @@ class InfraInjector:
     # -- cache faults --------------------------------------------------------
 
     def cache_put_fault(self) -> bool:
-        """True when this cache write should hit injected ENOSPC."""
+        """True when this cache commit should hit injected ENOSPC."""
         if self.plan.cache_enospc_after < 0:
             return False
         fires = self._cache_puts >= self.plan.cache_enospc_after
@@ -294,7 +296,7 @@ class InfraInjector:
         return fires
 
     def cache_truncate_fault(self) -> bool:
-        """True when this cache read's entry should be truncated first."""
+        """True when this row's blob should read back halved."""
         if self.plan.cache_truncate_rate <= 0:
             return False
         if self._read_rng.random() < self.plan.cache_truncate_rate:
@@ -385,31 +387,26 @@ class FaultyStore:
 class FaultyCache(TrialCache):
     """A :class:`~repro.perf.cache.TrialCache` facing injected disk rot.
 
-    Writes hit the plan's ENOSPC fault (routed through the production
-    degraded-mode machinery: warning, ``cache_degraded`` counter,
-    read-only flip); reads may find their entry truncated on disk first,
-    exercising the real corrupt-entry recovery (log, unlink, recompute).
+    Commits hit the plan's ENOSPC fault: the transaction rolls back, so
+    none of its batch is stored, and the production degraded-mode
+    machinery takes over (warning, ``cache_degraded`` counter, read-only
+    flip).  Reads may find a row's blob halved, exercising the real
+    corrupt-entry recovery (log, delete the row, recompute).
     """
 
     def __init__(self, root, injector: InfraInjector):
         super().__init__(root)
         self.injector = injector
 
-    def _write(self, path, result, ensure_dir: bool = True) -> None:
+    def _commit(self, conn) -> None:
         if self.injector.cache_put_fault():
-            self._degrade(
-                path,
-                OSError(errno.ENOSPC, "No space left on device [injected]"),
-            )
-            return
-        super()._write(path, result, ensure_dir)
+            raise OSError(errno.ENOSPC, "No space left on device [injected]")
+        super()._commit(conn)
 
-    def _load(self, path):
-        if path.is_file() and self.injector.cache_truncate_fault():
-            raw = path.read_bytes()
-            if raw:
-                path.write_bytes(raw[: max(1, len(raw) // 2)])
-        return super()._load(path)
+    def _loads(self, blob: bytes) -> Any:
+        if self.injector.cache_truncate_fault():
+            blob = blob[: max(1, len(blob) // 2)]
+        return super()._loads(blob)
 
 
 def tear_ledger_tail(path: Union[str, Path]) -> bytes:

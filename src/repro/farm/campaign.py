@@ -14,8 +14,10 @@ The :class:`~repro.perf.cache.TrialCache` is the shared result tier:
 submit prefilters the whole grid with one
 :meth:`~repro.perf.cache.TrialCache.get_many` and enqueues hits as
 already-done rows, so workers only ever see true misses; workers write
-their results back with :meth:`~repro.perf.cache.TrialCache.put_many`,
-so the *next* campaign's submit sees them as hits.
+their results back with :meth:`~repro.perf.cache.TrialCache.put_many`
+(one transaction into the cache's ``results.db`` per claimed batch), so
+the *next* campaign's submit sees them as hits.  A result is thus
+stored twice, as the store row's ``result`` and as a cache row.
 
 :func:`run_store_backed` is the ``run_trials(store=...)`` backend: it
 submits, drains with an in-process :class:`~repro.farm.worker.FarmWorker`

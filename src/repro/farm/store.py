@@ -43,7 +43,12 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..perf.resilience import ResiliencePolicy
+from ..perf.resilience import (
+    STORE_RETRY_POLICY,
+    ResiliencePolicy,
+    connect_sqlite,
+    is_transient_store_error,
+)
 
 log = logging.getLogger("repro.farm.store")
 
@@ -242,6 +247,9 @@ class SQLiteFarmStore(FarmStore):
       lock up front — two workers claiming concurrently serialize, and
       each sees the other's claims, so no row is ever double-leased;
     * a generous ``busy_timeout`` instead of hand-rolled retry loops.
+
+    Connections come from :func:`~repro.perf.resilience.connect_sqlite`,
+    the recipe the :class:`~repro.perf.cache.TrialCache` uses too.
     """
 
     def __init__(self, path: Union[str, Path]):
@@ -273,13 +281,8 @@ class SQLiteFarmStore(FarmStore):
             raise FarmStoreError(f"store {self.url} is closed")
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = sqlite3.connect(
-                str(self.path), timeout=60.0, isolation_level=None
-            )
+            conn = connect_sqlite(self.path)
             conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=60000")
             self._local.conn = conn
             with self._conns_lock:
                 self._all_conns.append(conn)
@@ -596,25 +599,6 @@ class SQLiteFarmStore(FarmStore):
                     "(%s: %s)", self.url, type(exc).__name__, exc,
                 )
         self._local = threading.local()
-
-
-#: Substrings of :class:`sqlite3.OperationalError` messages that mark a
-#: *transient* fault — worth retrying, unlike a schema or disk error.
-TRANSIENT_MARKERS = ("locked", "busy")
-
-#: Default backoff schedule for store-level retries: short, capped, and
-#: fully jittered so N workers hammering one contended store spread out.
-STORE_RETRY_POLICY = ResiliencePolicy(
-    backoff=0.02, max_backoff=0.5, jitter=1.0
-)
-
-
-def is_transient_store_error(exc: BaseException) -> bool:
-    """True for 'database is locked'-class faults worth a bounded retry."""
-    if not isinstance(exc, sqlite3.OperationalError):
-        return False
-    text = str(exc).lower()
-    return any(marker in text for marker in TRANSIENT_MARKERS)
 
 
 class RetryingStore(FarmStore):

@@ -8,8 +8,8 @@
   warm-started worker pool every ``run_trials`` call shares
   (:func:`shared_pool`), and :class:`DispatchStats`, the dispatch
   overhead meter;
-* :mod:`repro.perf.cache` — :class:`TrialCache`, the disk-backed
-  content-addressed store of trial results (batched
+* :mod:`repro.perf.cache` — :class:`TrialCache`, the content-addressed
+  store of trial results in one SQLite file (batched
   ``get_many``/``put_many``);
 * :mod:`repro.perf.resilience` — the watchdog, retry/quarantine, and
   checkpoint-journal primitives behind the executor's resilient mode.

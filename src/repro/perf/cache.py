@@ -1,10 +1,12 @@
-"""Disk-backed trial result cache, keyed by :func:`repro.perf.spec.spec_key`.
+"""Trial result cache, keyed by :func:`repro.perf.spec.spec_key`.
 
-Layout: ``<root>/<key[:2]>/<key>.pkl`` — one pickled result dataclass per
-trial, sharded by the first key byte so a large grid doesn't pile tens of
-thousands of entries into one directory.  Writes are atomic (temp file +
-``os.replace``), so a crashed or killed sweep never leaves a truncated
-entry behind; unreadable entries are treated as misses and deleted.
+Layout: one SQLite file, ``<root>/results.db``, holding one table
+``results(key, result)`` with one pickled result dataclass per trial.
+A whole grid is read by one keyed ``SELECT`` and a worker batch is
+written by one ``BEGIN IMMEDIATE`` transaction, so a killed sweep never
+leaves a torn entry behind, and several processes (pool workers, farm
+workers) can share one root.  An unreadable row is a miss and is
+deleted.
 
 Cache invalidation is by construction: the key covers the full trial spec
 and the engine version salt, so a doc-only change hits, and an engine
@@ -13,19 +15,47 @@ bump (or any spec change) misses.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import pickle
-import tempfile
+import sqlite3
+import weakref
 from pathlib import Path
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .resilience import connect_sqlite
 from .spec import TrialSpec, spec_key
 
 log = logging.getLogger("repro.perf.cache")
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The database file under a cache root.
+DB_NAME = "results.db"
+
+_SCHEMA = ("CREATE TABLE IF NOT EXISTS results"
+           " (key TEXT PRIMARY KEY, result BLOB NOT NULL)")
+_SELECT = ("SELECT key, result FROM results"
+           " WHERE key IN (SELECT value FROM json_each(?))")
+_DELETE = "DELETE FROM results WHERE key IN (SELECT value FROM json_each(?))"
+_INSERT = "INSERT OR REPLACE INTO results (key, result) VALUES (?, ?)"
+
+#: Caches holding an open connection in this process.
+_OPEN: "weakref.WeakSet[TrialCache]" = weakref.WeakSet()
+
+
+def _close_before_fork() -> None:
+    # SQLite's rule: a connection open across fork() breaks locking in
+    # the child, even for connections the child opens itself (they share
+    # the inherited lock state).  Close them all; each reopens lazily.
+    for cache in list(_OPEN):
+        cache.close()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_close_before_fork)
 
 
 def default_cache_dir() -> Path:
@@ -43,19 +73,26 @@ class TrialCache:
 
     ``hits`` / ``misses`` / ``stores`` count this instance's traffic —
     the sweep CLI reports them after every run.  ``corrupt`` counts the
-    subset of misses caused by unreadable entries (each is logged,
-    deleted, and rewritten when the recomputed result is stored).
+    subset of misses caused by unreadable rows (each is logged, deleted,
+    and rewritten when the recomputed result is stored).
 
-    ``get_round_trips`` / ``put_round_trips`` count *disk visits*, not
-    entries: a :meth:`get_many` over a whole grid or a :meth:`put_many`
-    of a worker batch is one round trip each — the quantity the batched
-    executor minimizes and ``dispatch_overhead_per_trial`` reports.
+    ``get_round_trips`` / ``put_round_trips`` count *database visits*,
+    not entries: a :meth:`get_many` over a whole grid or a
+    :meth:`put_many` of a worker batch is one round trip each — the
+    quantity the batched executor minimizes and
+    ``dispatch_overhead_per_trial`` reports.
 
-    A write failure (disk full, permission lost, directory vanished)
-    must never fail the trial whose result was being stored: the first
-    ``OSError`` on a put flips the cache into **degraded read-only
-    mode** — ``cache_degraded`` goes to 1, a WARNING is logged, and
-    every later write becomes a no-op while reads keep serving hits.
+    The connection opens on first use and belongs to the process that
+    opened it: a fork closes it first, so a child opens its own.
+    :meth:`close` closes it (the next use reopens), and so does dropping
+    the cache.
+
+    A failure to open or commit (disk full, a read-only file, a
+    ``results.db`` that is not a database) must never fail the trial
+    whose result was being stored: the first one flips the cache into
+    **degraded read-only mode** — ``cache_degraded`` goes to 1, a
+    WARNING is logged, and every later write becomes a no-op while
+    reads keep serving what they can.
     """
 
     def __init__(self, root: Union[str, Path, None] = None):
@@ -67,165 +104,152 @@ class TrialCache:
         self.cache_degraded = 0
         self.get_round_trips = 0
         self.put_round_trips = 0
+        self._conn: Optional[sqlite3.Connection] = None
 
     @property
     def degraded(self) -> bool:
-        """True once a write failure switched the cache to read-only."""
+        """True once a failure switched the cache to read-only."""
         return self.cache_degraded > 0
 
-    def _degrade(self, path: Path, exc: BaseException) -> None:
+    def _degrade(self, exc: BaseException) -> None:
         if self.cache_degraded == 0:
             log.warning(
-                "cache write to %s failed (%s: %s); cache degraded to "
-                "read-only — results still computed, just not cached",
-                path, type(exc).__name__, exc,
+                "cache %s failed (%s: %s); cache degraded to read-only — "
+                "results still computed, just not cached",
+                self.root / DB_NAME, type(exc).__name__, exc,
             )
         self.cache_degraded = 1
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    def _connection(self) -> Optional[sqlite3.Connection]:
+        """The open connection, opened now if need be; ``None`` if that
+        fails (which degrades the cache)."""
+        if self._conn is None:
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+                self._conn = connect_sqlite(self.root / DB_NAME,
+                                            check_same_thread=False)
+                _OPEN.add(self)
+                self._conn.execute(_SCHEMA)
+            except (sqlite3.Error, OSError) as exc:
+                self.close()
+                self._degrade(exc)
+        return self._conn
+
+    def close(self) -> None:
+        """Close the connection; the next use opens a new one."""
+        conn, self._conn = self._conn, None
+        _OPEN.discard(self)
+        if conn is not None:
+            conn.close()
 
     # -- spec-level API ----------------------------------------------------
 
-    def _load(self, path: Path) -> Tuple[Optional[Any], bool]:
-        """Read one entry: ``(result, hit)`` with per-``get`` accounting."""
-        try:
-            with open(path, "rb") as handle:
-                result = pickle.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return None, False
-        except Exception as exc:
-            # Truncated, corrupted, or stale entry (unpickling hostile
-            # bytes can raise nearly anything): a cache must never turn a
-            # bad entry into a sweep failure.  Log, drop, recompute — the
-            # recomputed result is rewritten by the usual ``put``.
-            self.corrupt += 1
-            self.misses += 1
-            log.warning(
-                "dropping corrupt cache entry %s (%s: %s); recomputing",
-                path.name, type(exc).__name__, exc,
-            )
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None, False
-        self.hits += 1
-        return result, True
+    def _loads(self, blob: bytes) -> Any:
+        return pickle.loads(blob)
 
     def get(self, spec: TrialSpec) -> Optional[Any]:
         """The cached result for ``spec``, or ``None`` on a miss."""
-        self.get_round_trips += 1
-        result, _ = self._load(self._path(spec_key(spec)))
-        return result
+        return self.get_many([spec])[0]
 
     def get_many(self, specs: Sequence[TrialSpec]) -> List[Optional[Any]]:
-        """Batched :meth:`get`: one disk round trip for the whole grid.
+        """Batched :meth:`get`: one keyed ``SELECT`` for the whole grid.
 
-        Keys are grouped by shard so each shard directory is listed
-        **once**; only entries that exist are opened (a cold grid costs a
-        handful of ``listdir`` calls instead of ``len(specs)`` failed
-        ``open`` s).  Hit/miss/corrupt accounting is per entry, identical
-        to ``len(specs)`` individual :meth:`get` calls.
+        Rows are unpickled as the cursor yields them.  Hit/miss/corrupt
+        accounting is per entry, identical to ``len(specs)`` individual
+        :meth:`get` calls.
         """
         if not specs:
             return []
         self.get_round_trips += 1
         keys = [spec_key(spec) for spec in specs]
-        shard_files: dict = {}
-        for key in keys:
-            shard = key[:2]
-            if shard not in shard_files:
-                try:
-                    shard_files[shard] = set(os.listdir(self.root / shard))
-                except OSError:
-                    shard_files[shard] = set()
+        found = {}
+        bad = []
+        conn = self._connection()
+        if conn is not None:
+            try:
+                for key, blob in conn.execute(_SELECT, (json.dumps(keys),)):
+                    try:
+                        found[key] = self._loads(blob)
+                    except Exception as exc:
+                        # Truncated, corrupted or stale bytes (unpickling
+                        # hostile bytes can raise nearly anything): a
+                        # cache must never turn a bad entry into a sweep
+                        # failure.  Log, drop, recompute — the recomputed
+                        # result is rewritten by the usual put.
+                        bad.append(key)
+                        log.warning(
+                            "dropping corrupt cache entry %s (%s: %s); "
+                            "recomputing", key, type(exc).__name__, exc,
+                        )
+                if bad:
+                    conn.execute(_DELETE, (json.dumps(bad),))
+            except sqlite3.Error as exc:
+                self._degrade(exc)
+        self.corrupt += len(bad)
         out: List[Optional[Any]] = []
         for key in keys:
-            if f"{key}.pkl" not in shard_files[key[:2]]:
+            if key in found:
+                self.hits += 1
+                out.append(found[key])
+            else:
                 self.misses += 1
                 out.append(None)
-                continue
-            result, _ = self._load(self._path(key))
-            out.append(result)
         return out
 
     def put(self, spec: TrialSpec, result: Any) -> None:
-        """Store ``result`` for ``spec`` (atomic replace)."""
-        if self.degraded:
-            return
-        self.put_round_trips += 1
-        self._write(self._path(spec_key(spec)), result)
+        """Store ``result`` for ``spec`` (replacing any earlier one)."""
+        self.put_many([(spec, result)])
+
+    def _commit(self, conn: sqlite3.Connection) -> None:
+        conn.execute("COMMIT")
 
     def put_many(self, pairs: Iterable[Tuple[TrialSpec, Any]]) -> None:
-        """Batched :meth:`put`: one disk round trip for a whole batch.
+        """Batched :meth:`put`: one transaction for a whole batch.
 
-        Entries are grouped by shard (one ``mkdir`` per shard); each file
-        is still written atomically, so a kill mid-batch leaves every
-        already-replaced entry valid and no torn ones.
+        A failed commit stores none of the batch and degrades the cache.
         """
         if self.degraded:
             return
-        by_shard: dict = {}
-        for spec, result in pairs:
-            path = self._path(spec_key(spec))
-            by_shard.setdefault(path.parent, []).append((path, result))
-        if not by_shard:
+        pairs = list(pairs)
+        if not pairs:
             return
         self.put_round_trips += 1
-        for parent, entries in by_shard.items():
-            try:
-                parent.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                self._degrade(parent, exc)
-                return
-            for path, result in entries:
-                self._write(path, result, ensure_dir=False)
-                if self.degraded:
-                    return
-
-    def _write(self, path: Path, result: Any, ensure_dir: bool = True) -> None:
-        try:
-            if ensure_dir:
-                path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError as exc:
-            self._degrade(path, exc)
+        conn = self._connection()
+        if conn is None:
             return
+        # Rows are pickled as SQLite consumes them, so a batch never
+        # holds all its pickles at once.
+        rows = (
+            (spec_key(spec), pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            for spec, result in pairs
+        )
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException as exc:
+            conn.execute("BEGIN IMMEDIATE")
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            if isinstance(exc, OSError):
-                # Disk full / permission lost mid-write: degrade, don't
-                # fail the trial whose result we were caching.
-                self._degrade(path, exc)
-                return
-            raise
-        self.stores += 1
+                conn.executemany(_INSERT, rows)
+                self._commit(conn)
+            except BaseException:
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                raise
+        except (sqlite3.Error, OSError) as exc:
+            # Disk full / file gone read-only mid-sweep: degrade, don't
+            # fail the trial whose result we were caching.
+            self._degrade(exc)
+            return
+        self.stores += len(pairs)
 
     # -- maintenance -------------------------------------------------------
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
+        conn = self._connection()
+        if conn is None:
             return 0
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
+        return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        if not self.root.is_dir():
+        conn = self._connection()
+        if conn is None:
             return 0
-        for entry in self.root.glob("*/*.pkl"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        return conn.execute("DELETE FROM results").rowcount

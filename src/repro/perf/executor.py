@@ -10,9 +10,11 @@ order — a ``jobs=8`` sweep is byte-for-byte the same CSV as a serial one.
 
 With a :class:`~repro.perf.cache.TrialCache`, the whole grid is
 prefiltered with one :meth:`~repro.perf.cache.TrialCache.get_many`
-round trip; only the misses fan out, workers flush each batch's results
-with one :meth:`~repro.perf.cache.TrialCache.put_many`, and a fully warm
-grid never touches the pool at all.  Pass a
+``SELECT``; only the misses fan out, workers flush each batch's results
+with one :meth:`~repro.perf.cache.TrialCache.put_many` transaction into
+the same SQLite file (each reply carries what the worker's cache stored
+and whether it degraded), and a fully warm grid never touches the pool
+at all.  Pass a
 :class:`~repro.perf.pool.DispatchStats` as ``dispatch`` to meter what
 the fan-out cost (pool spawns, batch messages, pickle bytes, cache round
 trips — the ``dispatch_overhead_per_trial`` numbers in BENCH_sweep.json).
@@ -320,10 +322,13 @@ def _pool_session(pool: Optional[WorkerPool], jobs: int,
 
 
 def _fold_reply(reply, cache: Optional[TrialCache]) -> None:
-    """Fold a worker's cache accounting back into the parent cache."""
-    if cache is not None and reply.cache_stores:
+    """Fold a worker's cache accounting back into the parent cache: what
+    the worker's cache stored, and whether its writes failed."""
+    if cache is not None:
         cache.stores += reply.cache_stores
         cache.put_round_trips += reply.cache_put_round_trips
+        if reply.cache_degraded:
+            cache.cache_degraded = 1
 
 
 def _run(
@@ -381,7 +386,9 @@ def _run(
             for chunk in _chunk_indices(len(pending), jobs, chunk_size)
         ]
         window = len(batches)
-    cache_root = str(cache.root) if cache is not None else None
+    # A degraded cache is read-only, in the workers too.
+    cache_root = str(cache.root) \
+        if cache is not None and not cache.degraded else None
 
     def submit(indices: List[int], pin: Optional[int] = None) -> None:
         pool.submit(pool.make_task(

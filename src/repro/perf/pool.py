@@ -16,8 +16,10 @@ disk cache round-trip per trial.  This module removes all three:
 * Work travels as **batches** of specs — one pickle per batch in, one
   compact result+telemetry payload per batch out — and workers flush
   results to the :class:`~repro.perf.cache.TrialCache` with one
-  :meth:`~repro.perf.cache.TrialCache.put_many` per batch instead of
-  one write per trial.
+  :meth:`~repro.perf.cache.TrialCache.put_many` transaction per batch
+  instead of one write per trial.  A worker opens the cache a task
+  names and closes it after that batch, so a root deleted and
+  re-created between sweeps is written afresh.
 
 Each worker owns a private duplex pipe, so a worker death is **precisely
 attributable**: the parent knows exactly which batch the dead worker was
@@ -75,8 +77,8 @@ class DispatchStats:
     (a warm reuse of the shared pool counts ``pool_reuses`` instead);
     ``batches`` is task messages sent (each batch is exactly one pickled
     message out and one back); ``cache_get_round_trips`` /
-    ``cache_put_round_trips`` count disk visits, not trials — a
-    ``get_many`` over a whole grid is **one** round trip.
+    ``cache_put_round_trips`` count cache queries and transactions, not
+    trials — a ``get_many`` over a whole grid is **one** round trip.
     """
 
     pool_spawns: int = 0
@@ -97,7 +99,7 @@ class DispatchStats:
     def dispatch_events(self) -> int:
         """Pool spawns + batch messages (out and back) + cache visits —
         the dimensionless "how many times did the harness pay a fork,
-        a pickle boundary, or a disk directory" count."""
+        a pickle boundary, or a cache query" count."""
         return (
             self.pool_spawns + 2 * self.batches
             + self.cache_get_round_trips + self.cache_put_round_trips
@@ -161,6 +163,9 @@ class BatchReply:
     batch — the parent-side ``submitted_at`` minus this is the true
     queue wait, identical for every trial in the batch (trial k's queue
     wait must not absorb trials 1..k-1's execution time).
+    ``cache_stores`` / ``cache_put_round_trips`` are what the worker's
+    cache counted for this batch, and ``cache_degraded`` is its state
+    after the batch, for the parent to fold into its own cache.
     """
 
     task_id: int
@@ -169,18 +174,20 @@ class BatchReply:
     dequeued_at: float = 0.0
     cache_stores: int = 0
     cache_put_round_trips: int = 0
+    cache_degraded: bool = False
 
 
 # -- worker side -------------------------------------------------------------
 
 
-def _execute_batch(task: PoolTask, caches: Dict[str, Any],
+def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
                    execute=None) -> BatchReply:
     """Run one batch in this process: the unit of work of both pools.
 
-    ``caches`` maps a cache root to the :class:`~repro.perf.cache.TrialCache`
-    that stores the batch's results (a worker opens its own on first use;
-    :class:`InlinePool` hands in the caller's).  ``execute`` runs one
+    ``cache`` is the :class:`~repro.perf.cache.TrialCache` that stores
+    the batch's results, if any (a worker opens the one
+    ``task.cache_root`` names; :class:`InlinePool` hands in the
+    caller's).  ``execute`` runs one
     spec (default :func:`~repro.perf.spec.execute_trial`).  Pure with
     respect to the worker loop, so tests drive it in-process: queue-wait
     stamping, per-spec watchdogs, and the batched cache flush are all
@@ -222,18 +229,16 @@ def _execute_batch(task: PoolTask, caches: Dict[str, Any],
     except BaseException as exc:  # abort the batch; the parent settles it
         return BatchReply(task.task_id, error=exc, dequeued_at=dequeued)
 
-    stores = put_round_trips = 0
-    if task.cache_root is not None and store:
-        cache = caches.get(task.cache_root)
-        if cache is None:
-            cache = caches[task.cache_root] = TrialCache(task.cache_root)
-        before = cache.put_round_trips
-        cache.put_many(store)
-        stores = len(store)
-        put_round_trips = cache.put_round_trips - before
+    if cache is None:
+        return BatchReply(task.task_id, items=tuple(items),
+                          dequeued_at=dequeued)
+    stores, put_round_trips = cache.stores, cache.put_round_trips
+    cache.put_many(store)
     return BatchReply(
         task.task_id, items=tuple(items), dequeued_at=dequeued,
-        cache_stores=stores, cache_put_round_trips=put_round_trips,
+        cache_stores=cache.stores - stores,
+        cache_put_round_trips=cache.put_round_trips - put_round_trips,
+        cache_degraded=cache.degraded,
     )
 
 
@@ -245,7 +250,6 @@ def _worker_main(conn, warm: bool) -> None:
         from .spec import warm_imports
 
         warm_imports()
-    caches: Dict[str, Any] = {}
     while True:
         try:
             # Poll with a timeout so an orphaned worker (parent killed
@@ -260,7 +264,11 @@ def _worker_main(conn, warm: bool) -> None:
         task = pickle.loads(frame)
         if task is None:  # shutdown sentinel
             break
-        reply = _execute_batch(task, caches)
+        cache = None if task.cache_root is None \
+            else TrialCache(task.cache_root)
+        reply = _execute_batch(task, cache)
+        if cache is not None:
+            cache.close()
         try:
             data = pickle.dumps(reply, _PROTOCOL)
         except Exception as exc:
@@ -546,7 +554,8 @@ class InlinePool:
     ``wait()`` runs the oldest submitted task through
     :func:`_execute_batch` with the caller's own ``cache`` object, so
     in-process results land in that object (its counters, its degraded
-    read-only flag) and the reply reports no stores to fold back.  There
+    read-only flag, its open connection) and the reply reports no
+    stores to fold back.  There
     is no worker to lose: ``wait()`` never reports a death, and ``pin``
     is ignored.  ``execute`` runs one spec (default
     :func:`~repro.perf.spec.execute_trial`).
@@ -555,7 +564,7 @@ class InlinePool:
     make_task = WorkerPool.make_task
 
     def __init__(self, cache=None, execute=None):
-        self._caches = {str(cache.root): cache} if cache is not None else {}
+        self._cache = cache
         self._execute = execute
         self._pending: Deque[PoolTask] = deque()
         self._next_task_id = 0
@@ -565,7 +574,7 @@ class InlinePool:
 
     def wait(self):
         task = self._pending.popleft()
-        reply = _execute_batch(task, self._caches, self._execute)
+        reply = _execute_batch(task, self._cache, self._execute)
         return "done", task, BatchReply(
             task.task_id, reply.items, reply.error, reply.dequeued_at
         )

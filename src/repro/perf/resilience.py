@@ -28,8 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 import signal
+import sqlite3
 import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
@@ -85,6 +88,55 @@ class ResiliencePolicy:
         if self.jitter > 0 and rng is not None:
             delay -= self.jitter * delay * rng.random()
         return delay
+
+
+#: Substrings of :class:`sqlite3.OperationalError` messages that mark a
+#: *transient* fault — worth retrying, unlike a schema or disk error.
+TRANSIENT_MARKERS = ("locked", "busy")
+
+#: Default backoff schedule for SQLite retries: short, capped, and fully
+#: jittered so N processes hammering one contended file spread out.
+STORE_RETRY_POLICY = ResiliencePolicy(
+    backoff=0.02, max_backoff=0.5, jitter=1.0
+)
+
+#: Jitter for :func:`connect_sqlite`; sleeping never touches a trial RNG.
+_RETRY_RNG = random.Random()
+
+
+def is_transient_store_error(exc: BaseException) -> bool:
+    """True for 'database is locked'-class faults worth a bounded retry."""
+    if not isinstance(exc, sqlite3.OperationalError):
+        return False
+    text = str(exc).lower()
+    return any(marker in text for marker in TRANSIENT_MARKERS)
+
+
+def connect_sqlite(path: Union[str, Path], attempts: int = 5,
+                   **kwargs: Any) -> sqlite3.Connection:
+    """Open ``path`` the way every SQLite file of the harness is opened.
+
+    WAL mode (readers never block the writer), ``synchronous=NORMAL``, a
+    60 s busy timeout and autocommit mode (a batch of writes opens its
+    own ``BEGIN IMMEDIATE`` transaction).  Switching a fresh file to WAL
+    needs an exclusive lock that the busy handler does not always wait
+    for, so processes opening one new file together retry a transient
+    lock under :data:`STORE_RETRY_POLICY`.  ``kwargs`` go to
+    :func:`sqlite3.connect`.
+    """
+    for round_ in range(attempts):
+        conn = sqlite3.connect(str(path), timeout=60.0,
+                               isolation_level=None, **kwargs)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            return conn
+        except BaseException as exc:
+            conn.close()
+            if not is_transient_store_error(exc) or round_ + 1 >= attempts:
+                raise
+        time.sleep(STORE_RETRY_POLICY.backoff_seconds(round_, _RETRY_RNG))
+    raise AssertionError("unreachable")  # pragma: no cover
 
 
 @dataclasses.dataclass(frozen=True)

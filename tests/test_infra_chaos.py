@@ -40,6 +40,7 @@ from repro.obs.campaign import CampaignLedger, CampaignRecord
 from repro.obs.metrics import MetricsCollector
 from repro.perf import ResiliencePolicy, spec_key
 from repro.perf.resilience import guarded_execute
+from tests.helpers import cache_row
 
 SPECS = default_infra_specs(3)
 
@@ -214,9 +215,9 @@ class TestCacheDegradation:
         warm.put(spec, guarded_execute(spec))
         injector = InfraFaultPlan(seed=0, cache_truncate_rate=1.0).build()
         cache = FaultyCache(tmp_path / "cache", injector)
-        assert cache.get(spec) is None  # torn on disk -> corrupt -> miss
+        assert cache.get(spec) is None  # torn blob -> corrupt -> miss
         assert cache.corrupt == 1
-        assert not cache._path(spec_key(spec)).exists()  # dropped
+        assert cache_row(cache, spec) is None  # dropped
 
 
 class TestKillBarriers:

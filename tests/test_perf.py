@@ -21,7 +21,9 @@ from repro.perf import (
     run_trials,
     spec_key,
 )
+from repro.perf.cache import DB_NAME
 from repro.perf.executor import _chunk_indices, resolve_jobs
+from tests.helpers import cache_row, write_cache_row
 
 
 class TestSpecs:
@@ -184,10 +186,29 @@ class TestCache:
         cache = TrialCache(tmp_path)
         spec = SetAgreementTrialSpec(3, 2, seed=0, stabilization_time=0)
         cache.put(spec, execute_trial(spec))
-        path = cache._path(spec_key(spec))
-        path.write_bytes(b"not a pickle")
+        write_cache_row(cache, spec, b"not a pickle")
         assert cache.get(spec) is None
-        assert not path.exists()  # dropped for recompute
+        assert cache_row(cache, spec) is None  # dropped for recompute
+
+    def test_garbage_database_file_means_no_cache(self, tmp_path):
+        (tmp_path / DB_NAME).write_bytes(b"not a database\n" * 256)
+        cache = TrialCache(tmp_path)
+        results = sweep_set_agreement([3], [0, 1], [0, 20], cache=cache)
+        assert results == sweep_set_agreement([3], [0, 1], [0, 20])
+        assert (cache.hits, cache.misses, cache.stores) == (0, 4, 0)
+        assert cache.degraded
+
+    def test_old_shard_entry_is_a_plain_miss(self, tmp_path):
+        spec = SetAgreementTrialSpec(3, 2, seed=0, stabilization_time=0)
+        key = spec_key(spec)
+        (tmp_path / key[:2]).mkdir()
+        (tmp_path / key[:2] / f"{key}.pkl").write_bytes(
+            pickle.dumps(execute_trial(spec))
+        )
+        cache = TrialCache(tmp_path)
+        assert cache.get(spec) is None
+        assert (cache.misses, cache.corrupt) == (1, 0)
+        assert not cache.degraded
 
     def test_engine_salt_invalidates(self, tmp_path):
         import repro.perf.spec as spec_mod

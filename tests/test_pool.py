@@ -10,6 +10,8 @@ in place instead of tearing down the pool.
 
 import dataclasses
 import pickle
+import shutil
+import signal
 import time
 
 import pytest
@@ -25,13 +27,15 @@ from repro.perf import (
     SetAgreementTrialSpec,
     TrialCache,
     WorkerCrashError,
+    WorkerPool,
     reset_shared_pool,
     run_trials,
     shared_pool,
     spec_key,
 )
-from repro.perf.executor import _chunk_indices
+from repro.perf.executor import _chunk_indices, _fold_reply
 from repro.perf.pool import PoolTask, _execute_batch
+from tests.helpers import cache_row, write_cache_row
 
 SPECS = [
     SetAgreementTrialSpec(3, 1, seed=seed, stabilization_time=0)
@@ -166,14 +170,12 @@ class TestCacheBatching:
     def test_get_many_drops_corrupt_entries_like_get(self, tmp_path, caplog):
         cache = TrialCache(tmp_path / "cache")
         cache.put(SPECS[0], "good")
-        victim = cache._path(spec_key(SPECS[1]))
-        victim.parent.mkdir(parents=True, exist_ok=True)
-        victim.write_bytes(b"not a pickle")
+        write_cache_row(cache, SPECS[1], b"not a pickle")
         with caplog.at_level("WARNING", logger="repro.perf.cache"):
             results = cache.get_many(SPECS[:2])
         assert results == ["good", None]
         assert cache.corrupt == 1
-        assert not victim.exists()
+        assert cache_row(cache, SPECS[1]) is None
 
     def test_put_many_equals_individual_puts(self, tmp_path):
         grouped = TrialCache(tmp_path / "grouped")
@@ -184,6 +186,99 @@ class TestCacheBatching:
             [f"r{i}" for i in range(len(SPECS))]
         assert grouped.put_many([]) is None
         assert grouped.put_round_trips == 1  # empty batch: no disk visit
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cache_writes_are_not_counted_as_stores(self, tmp_path,
+                                                           jobs):
+        root = tmp_path / "not-a-directory"
+        root.write_text("a regular file where the cache root should be")
+        cache = TrialCache(root)
+        dispatch = DispatchStats()
+        results = run_trials(SPECS[:4], jobs=jobs, cache=cache,
+                             dispatch=dispatch)
+        assert results == run_trials(SPECS[:4], jobs=1)
+        assert cache.stores == dispatch.cache_stores == 0
+        assert len(cache) == 0
+        assert cache.degraded
+
+    def test_batch_reply_carries_the_worker_cache_outcome(self, tmp_path):
+        broken = tmp_path / "not-a-directory"
+        broken.write_text("a regular file")
+        task = PoolTask(task_id=0, indices=(0, 1), specs=tuple(SPECS[:2]),
+                        cache_root=str(broken))
+        failed = _execute_batch(task, TrialCache(broken))
+        assert (failed.cache_stores, failed.cache_degraded) == (0, True)
+        good = tmp_path / "good"
+        task = dataclasses.replace(task, cache_root=str(good))
+        stored = _execute_batch(task, TrialCache(good))
+        assert (stored.cache_stores, stored.cache_degraded) == (2, False)
+        parent = TrialCache(good)
+        for reply in (stored, failed):
+            _fold_reply(reply, parent)
+        assert parent.stores == 2 and parent.put_round_trips == 2
+        assert parent.degraded
+
+
+class TestSharedCacheFile:
+    """Pool workers open the cache file a task names, per task."""
+
+    def test_concurrent_first_opens_store_every_entry(self, tmp_path):
+        # Three workers (more than a 2-CPU host has cores), each handed
+        # a task naming the same fresh root at once: their first opens
+        # race to create the file and switch it to WAL.
+        def out_of_time(signum, frame):
+            raise TimeoutError("60 roots took longer than 120 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(120)
+        pool = WorkerPool()
+        try:
+            pool.ensure(3)
+            for index in range(60):
+                root = tmp_path / f"root-{index}"
+                for start in range(0, len(SPECS), 2):
+                    pool.submit(pool.make_task(
+                        indices=(start, start + 1),
+                        specs=SPECS[start:start + 2], cache_root=str(root),
+                    ))
+                replies = [pool.wait() for _ in range(len(SPECS) // 2)]
+                assert [kind for kind, _, _ in replies] == ["done"] * 3
+                assert not any(reply.cache_degraded
+                               for _, _, reply in replies)
+                assert len(TrialCache(root)) == len(SPECS)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            pool.shutdown()
+
+    def test_deleted_and_recreated_root_gets_the_new_entries(self,
+                                                             tmp_path):
+        root = tmp_path / "cache"
+        pool = WorkerPool()
+        try:
+            run_trials(SPECS[:4], jobs=2, cache=TrialCache(root), pool=pool)
+            shutil.rmtree(root)
+            root.mkdir()
+            cache = TrialCache(root)
+            run_trials(SPECS[2:6], jobs=2, cache=cache, pool=pool)
+            assert cache.misses == 4
+        finally:
+            pool.shutdown()
+        fresh = TrialCache(root)
+        assert len(fresh) == 4
+        assert all(cache_row(fresh, spec) is not None for spec in SPECS[2:6])
+
+    def test_a_fork_closes_the_parent_connection(self, tmp_path):
+        cache = TrialCache(tmp_path / "cache")
+        cache.put(SPECS[0], "r0")
+        assert cache._conn is not None
+        pool = WorkerPool()
+        try:
+            pool.ensure(1)
+            assert cache._conn is None  # SQLite forbids carrying it over
+        finally:
+            pool.shutdown()
+        assert cache.get(SPECS[0]) == "r0"  # reopened on use
 
 
 class TestOrderIndependence:
@@ -239,7 +334,7 @@ class TestQueueWaitSemantics:
             task_id=0, indices=(0, 1, 2), specs=tuple(SPECS[:3]),
             observed=True, submitted_at=time.time() - 5.0,
         )
-        reply = _execute_batch(task, caches={})
+        reply = _execute_batch(task)
         waits = [dict(telemetry.spans)["queue_wait"]
                  for _, telemetry in reply.items]
         assert all(5.0 <= w < 6.0 for w in waits)
@@ -250,7 +345,7 @@ class TestQueueWaitSemantics:
     def test_reply_is_picklable_and_ordered(self):
         task = PoolTask(task_id=7, indices=(4, 5), specs=tuple(SPECS[4:6]),
                         observed=False, submitted_at=time.time())
-        reply = pickle.loads(pickle.dumps(_execute_batch(task, caches={})))
+        reply = pickle.loads(pickle.dumps(_execute_batch(task)))
         assert reply.task_id == 7
         assert len(reply.items) == 2
         assert reply.error is None

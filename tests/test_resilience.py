@@ -38,6 +38,7 @@ from repro.runtime import (
     SimulationLimitError,
     System,
 )
+from tests.helpers import cache_row, write_cache_row
 
 _HAS_SIGALRM = hasattr(signal, "SIGALRM")
 
@@ -318,14 +319,13 @@ class TestCorruptCache:
         spec = _quick_spec(0)
         result = guarded_execute(spec)
         cache.put(spec, result)
-        path = cache._path(spec_key(spec))
-        path.write_bytes(b"\x80\x04 this is not a pickle")
+        write_cache_row(cache, spec, b"\x80\x04 this is not a pickle")
         with caplog.at_level(logging.WARNING, logger="repro.perf.cache"):
             assert cache.get(spec) is None
         assert cache.corrupt == 1
         assert cache.misses == 1
         assert any("corrupt" in r.message for r in caplog.records)
-        assert not path.exists()           # deleted, will be rewritten
+        assert cache_row(cache, spec) is None  # deleted, will be rewritten
         cache.put(spec, result)
         assert cache.get(spec) == result
 
@@ -334,8 +334,7 @@ class TestCorruptCache:
         spec = _quick_spec(1)
         result = guarded_execute(spec)
         cache.put(spec, result)
-        path = cache._path(spec_key(spec))
-        path.write_bytes(path.read_bytes()[:10])   # killed mid-write
+        write_cache_row(cache, spec, cache_row(cache, spec)[:10])  # torn
         assert cache.get(spec) is None
         assert cache.corrupt == 1
         cache.put(spec, result)
