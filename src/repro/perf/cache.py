@@ -24,7 +24,7 @@ import weakref
 from pathlib import Path
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .resilience import connect_sqlite
+from .resilience import connect_sqlite, is_transient_store_error
 from .spec import TrialSpec, spec_key
 
 log = logging.getLogger("repro.perf.cache")
@@ -58,6 +58,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(before=_close_before_fork)
 
 
+def _open_read_only(path: Path) -> Optional[sqlite3.Connection]:
+    """``path`` opened for reads only, or ``None`` if it holds no table.
+
+    ``immutable=1`` because a WAL file in a directory this process may
+    not write can be read no other way (its ``-shm`` index cannot be
+    created); it assumes nobody writes the file meanwhile, so a file
+    that was merely locked is never opened this way.
+    """
+    try:
+        conn = sqlite3.connect(
+            path.resolve().as_uri() + "?mode=ro&immutable=1", uri=True,
+            check_same_thread=False,
+        )
+    except sqlite3.Error:
+        return None
+    try:
+        conn.execute("SELECT 1 FROM results LIMIT 0")
+    except sqlite3.Error:
+        conn.close()
+        return None
+    return conn
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro/trials``."""
     env = os.environ.get(CACHE_DIR_ENV)
@@ -87,12 +110,13 @@ class TrialCache:
     :meth:`close` closes it (the next use reopens), and so does dropping
     the cache.
 
-    A failure to open or commit (disk full, a read-only file, a
-    ``results.db`` that is not a database) must never fail the trial
-    whose result was being stored: the first one flips the cache into
-    **degraded read-only mode** — ``cache_degraded`` goes to 1, a
+    A failure to open or commit (disk full, a read-only directory or
+    file, a ``results.db`` that is not a database) must never fail the
+    trial whose result was being stored: the first one flips the cache
+    into **degraded read-only mode** — ``cache_degraded`` goes to 1, a
     WARNING is logged, and every later write becomes a no-op while
-    reads keep serving what they can.
+    reads keep serving what they can (a file that cannot be opened for
+    writing is opened read-only).
     """
 
     def __init__(self, root: Union[str, Path, None] = None):
@@ -121,18 +145,27 @@ class TrialCache:
         self.cache_degraded = 1
 
     def _connection(self) -> Optional[sqlite3.Connection]:
-        """The open connection, opened now if need be; ``None`` if that
-        fails (which degrades the cache)."""
+        """The open connection, opened now if need be.
+
+        A file that cannot be opened for writing (a read-only directory,
+        a full disk) degrades the cache and is opened read-only, so it
+        still serves hits; ``None`` if even that fails, or if the open
+        failed on a lock.
+        """
         if self._conn is None:
+            path = self.root / DB_NAME
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
-                self._conn = connect_sqlite(self.root / DB_NAME,
-                                            check_same_thread=False)
+                self._conn = connect_sqlite(path, check_same_thread=False)
                 _OPEN.add(self)
                 self._conn.execute(_SCHEMA)
             except (sqlite3.Error, OSError) as exc:
                 self.close()
                 self._degrade(exc)
+                if not is_transient_store_error(exc):
+                    self._conn = _open_read_only(path)
+                    if self._conn is not None:
+                        _OPEN.add(self)
         return self._conn
 
     def close(self) -> None:
@@ -248,8 +281,12 @@ class TrialCache:
         return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry; returns how many were removed (none from
+        a file this process cannot write)."""
         conn = self._connection()
         if conn is None:
             return 0
-        return conn.execute("DELETE FROM results").rowcount
+        try:
+            return conn.execute("DELETE FROM results").rowcount
+        except sqlite3.Error:
+            return 0

@@ -386,11 +386,11 @@ def _run(
             for chunk in _chunk_indices(len(pending), jobs, chunk_size)
         ]
         window = len(batches)
-    # A degraded cache is read-only, in the workers too.
-    cache_root = str(cache.root) \
-        if cache is not None and not cache.degraded else None
-
     def submit(indices: List[int], pin: Optional[int] = None) -> None:
+        # A degraded cache is read-only, in the workers too — also once
+        # a worker's reply has degraded it mid-run.
+        cache_root = str(cache.root) \
+            if cache is not None and not cache.degraded else None
         pool.submit(pool.make_task(
             indices=indices, specs=[specs[i] for i in indices],
             keys=tuple(keys[i] for i in indices) if observed and capture

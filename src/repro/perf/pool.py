@@ -17,8 +17,9 @@ disk cache round-trip per trial.  This module removes all three:
   compact result+telemetry payload per batch out — and workers flush
   results to the :class:`~repro.perf.cache.TrialCache` with one
   :meth:`~repro.perf.cache.TrialCache.put_many` transaction per batch
-  instead of one write per trial.  A worker opens the cache a task
-  names and closes it after that batch, so a root deleted and
+  instead of one write per trial.  A worker keeps its connection to
+  the cache file the last task named and opens a new one when a task
+  names another root or the file was replaced, so a root deleted and
   re-created between sweeps is written afresh.
 
 Each worker owns a private duplex pipe, so a worker death is **precisely
@@ -54,7 +55,7 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 # A module, not its names: execute_trial and spec_key are looked up per
 # batch, so a replacement installed on repro.perf.spec (tests) applies.
 from . import spec as spec_module
-from .cache import TrialCache
+from .cache import DB_NAME, TrialCache
 from .resilience import _guarded
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -185,9 +186,9 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
     """Run one batch in this process: the unit of work of both pools.
 
     ``cache`` is the :class:`~repro.perf.cache.TrialCache` that stores
-    the batch's results, if any (a worker opens the one
-    ``task.cache_root`` names; :class:`InlinePool` hands in the
-    caller's).  ``execute`` runs one
+    the batch's results, if any (a worker's own for the root
+    ``task.cache_root`` names, from :func:`_task_cache`;
+    :class:`InlinePool` hands in the caller's).  ``execute`` runs one
     spec (default :func:`~repro.perf.spec.execute_trial`).  Pure with
     respect to the worker loop, so tests drive it in-process: queue-wait
     stamping, per-spec watchdogs, and the batched cache flush are all
@@ -242,6 +243,32 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
     )
 
 
+def _task_cache(cache: Optional[TrialCache],
+                cache_file: Optional[Tuple[int, int]],
+                root: str) -> Tuple[TrialCache, Optional[Tuple[int, int]]]:
+    """The worker's cache for a task naming ``root``, and the device and
+    inode of the file it is bound to.
+
+    The open cache is kept while ``root`` holds the same file and the
+    cache has not degraded; otherwise a new one is made.  A root deleted
+    and re-created since holds a new inode, because the open connection
+    keeps the old one allocated.  The file is identified before the new
+    cache opens it, so a replacement racing the open costs one more
+    reopen, never a write into a deleted file.
+    """
+    try:
+        st = os.stat(os.path.join(root, DB_NAME))
+        current: Optional[Tuple[int, int]] = (st.st_dev, st.st_ino)
+    except OSError:
+        current = None
+    if cache is not None and current is not None \
+            and current == cache_file and not cache.degraded:
+        return cache, cache_file
+    if cache is not None:
+        cache.close()
+    return TrialCache(root), current
+
+
 def _worker_main(conn, warm: bool) -> None:
     """Long-lived worker loop: recv batch → execute → send reply."""
     global _SHARED, _SHARED_PID
@@ -250,6 +277,8 @@ def _worker_main(conn, warm: bool) -> None:
         from .spec import warm_imports
 
         warm_imports()
+    cache: Optional[TrialCache] = None
+    cache_file: Optional[Tuple[int, int]] = None
     while True:
         try:
             # Poll with a timeout so an orphaned worker (parent killed
@@ -264,11 +293,12 @@ def _worker_main(conn, warm: bool) -> None:
         task = pickle.loads(frame)
         if task is None:  # shutdown sentinel
             break
-        cache = None if task.cache_root is None \
-            else TrialCache(task.cache_root)
-        reply = _execute_batch(task, cache)
-        if cache is not None:
-            cache.close()
+        if task.cache_root is not None:
+            cache, cache_file = _task_cache(cache, cache_file,
+                                            task.cache_root)
+        reply = _execute_batch(
+            task, cache if task.cache_root is not None else None
+        )
         try:
             data = pickle.dumps(reply, _PROTOCOL)
         except Exception as exc:
@@ -285,6 +315,8 @@ def _worker_main(conn, warm: bool) -> None:
             conn.send_bytes(data)
         except (BrokenPipeError, OSError):
             break
+    if cache is not None:
+        cache.close()
 
 
 # -- parent side -------------------------------------------------------------

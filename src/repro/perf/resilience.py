@@ -103,6 +103,9 @@ STORE_RETRY_POLICY = ResiliencePolicy(
 #: Jitter for :func:`connect_sqlite`; sleeping never touches a trial RNG.
 _RETRY_RNG = random.Random()
 
+#: Opens :func:`connect_sqlite` tries before a transient lock is raised.
+_CONNECT_ATTEMPTS = 5
+
 
 def is_transient_store_error(exc: BaseException) -> bool:
     """True for 'database is locked'-class faults worth a bounded retry."""
@@ -112,8 +115,8 @@ def is_transient_store_error(exc: BaseException) -> bool:
     return any(marker in text for marker in TRANSIENT_MARKERS)
 
 
-def connect_sqlite(path: Union[str, Path], attempts: int = 5,
-                   **kwargs: Any) -> sqlite3.Connection:
+def connect_sqlite(path: Union[str, Path],
+                   check_same_thread: bool = True) -> sqlite3.Connection:
     """Open ``path`` the way every SQLite file of the harness is opened.
 
     WAL mode (readers never block the writer), ``synchronous=NORMAL``, a
@@ -121,19 +124,20 @@ def connect_sqlite(path: Union[str, Path], attempts: int = 5,
     own ``BEGIN IMMEDIATE`` transaction).  Switching a fresh file to WAL
     needs an exclusive lock that the busy handler does not always wait
     for, so processes opening one new file together retry a transient
-    lock under :data:`STORE_RETRY_POLICY`.  ``kwargs`` go to
+    lock under :data:`STORE_RETRY_POLICY`.  ``check_same_thread`` goes to
     :func:`sqlite3.connect`.
     """
-    for round_ in range(attempts):
-        conn = sqlite3.connect(str(path), timeout=60.0,
-                               isolation_level=None, **kwargs)
+    for round_ in range(_CONNECT_ATTEMPTS):
+        conn = sqlite3.connect(str(path), timeout=60.0, isolation_level=None,
+                               check_same_thread=check_same_thread)
         try:
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             return conn
         except BaseException as exc:
             conn.close()
-            if not is_transient_store_error(exc) or round_ + 1 >= attempts:
+            if not is_transient_store_error(exc) \
+                    or round_ + 1 >= _CONNECT_ATTEMPTS:
                 raise
         time.sleep(STORE_RETRY_POLICY.backoff_seconds(round_, _RETRY_RNG))
     raise AssertionError("unreachable")  # pragma: no cover

@@ -198,6 +198,59 @@ class TestCache:
         assert (cache.hits, cache.misses, cache.stores) == (0, 4, 0)
         assert cache.degraded
 
+    @pytest.mark.parametrize("error, read", [
+        ("unable to open database file", True),
+        ("database is locked", False),  # others may be writing it
+    ])
+    def test_a_file_it_cannot_open_for_writing_is_read(self, tmp_path,
+                                                       monkeypatch, error,
+                                                       read):
+        import sqlite3
+
+        import repro.perf.cache as cache_mod
+
+        stored, fresh = (SetAgreementTrialSpec(3, 2, seed=seed,
+                                               stabilization_time=0)
+                         for seed in (0, 1))
+        writer = TrialCache(tmp_path)
+        writer.put(stored, execute_trial(stored))
+        writer.close()
+
+        def cannot_write(path, check_same_thread=True):
+            raise sqlite3.OperationalError(error)
+
+        monkeypatch.setattr(cache_mod, "connect_sqlite", cannot_write)
+        cache = TrialCache(tmp_path)
+        hit = execute_trial(stored) if read else None
+        assert cache.get_many([stored, fresh]) == [hit, None]
+        assert cache.degraded
+        cache.put(fresh, execute_trial(fresh))
+        assert (cache.hits, cache.stores) == (int(read), 0)
+        assert len(cache) == int(read)
+        cache.close()
+
+    def test_read_only_directory_still_serves_hits(self, tmp_path):
+        root = tmp_path / "cache"
+        writer = TrialCache(root)
+        sweep_set_agreement([3], [0], [0], cache=writer)
+        writer.close()
+        root.chmod(0o555)
+        try:
+            try:
+                (root / "probe").touch()
+            except PermissionError:
+                pass
+            else:
+                pytest.skip("this user writes into a 0o555 directory")
+            cache = TrialCache(root)
+            results = sweep_set_agreement([3], [0, 2], [0], cache=cache)
+            assert results == sweep_set_agreement([3], [0, 2], [0])
+            assert (cache.hits, cache.misses, cache.stores) == (1, 1, 0)
+            assert cache.degraded
+            cache.close()
+        finally:
+            root.chmod(0o755)
+
     def test_old_shard_entry_is_a_plain_miss(self, tmp_path):
         spec = SetAgreementTrialSpec(3, 2, seed=0, stabilization_time=0)
         key = spec_key(spec)

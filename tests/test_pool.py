@@ -12,6 +12,7 @@ import dataclasses
 import pickle
 import shutil
 import signal
+import sqlite3
 import time
 
 import pytest
@@ -34,7 +35,7 @@ from repro.perf import (
     spec_key,
 )
 from repro.perf.executor import _chunk_indices, _fold_reply
-from repro.perf.pool import PoolTask, _execute_batch
+from repro.perf.pool import PoolTask, _execute_batch, _task_cache
 from tests.helpers import cache_row, write_cache_row
 
 SPECS = [
@@ -218,9 +219,39 @@ class TestCacheBatching:
         assert parent.stores == 2 and parent.put_round_trips == 2
         assert parent.degraded
 
+    def test_tasks_sent_after_a_degraded_reply_name_no_cache(self, tmp_path,
+                                                             monkeypatch):
+        # Workers fork after the patch, so every worker commit fails; the
+        # flaky spec's retry is submitted after the first reply degraded
+        # the caller's cache, and must not ask a worker to write again.
+        def disk_full(self, conn):
+            raise sqlite3.OperationalError("database or disk is full")
+
+        monkeypatch.setattr(TrialCache, "_commit", disk_full)
+        roots = []
+
+        class RecordingPool(WorkerPool):
+            def submit(self, task):
+                roots.append(task.cache_root)
+                super().submit(task)
+
+        flaky = SabotagedSpec(SPECS[0], f"raise-once:{tmp_path / 'flaked'}")
+        specs = [flaky] + SPECS[1:4]
+        cache = TrialCache(tmp_path / "cache")
+        pool = RecordingPool()
+        try:
+            results = run_trials(specs, jobs=2, chunk_size=len(specs),
+                                 retries=1, backoff=0.0, cache=cache,
+                                 pool=pool)
+        finally:
+            pool.shutdown()
+        assert results == run_trials(SPECS[:4], jobs=1)
+        assert roots == [str(cache.root), None]
+        assert cache.degraded and cache.stores == 0
+
 
 class TestSharedCacheFile:
-    """Pool workers open the cache file a task names, per task."""
+    """Pool workers share one cache file and notice it being replaced."""
 
     def test_concurrent_first_opens_store_every_entry(self, tmp_path):
         # Three workers (more than a 2-CPU host has cores), each handed
@@ -267,6 +298,25 @@ class TestSharedCacheFile:
         fresh = TrialCache(root)
         assert len(fresh) == 4
         assert all(cache_row(fresh, spec) is not None for spec in SPECS[2:6])
+
+    def test_a_worker_keeps_its_cache_while_the_file_stays(self, tmp_path):
+        root = str(tmp_path / "cache")
+        first, file_id = _task_cache(None, None, root)
+        first.put(SPECS[0], "r0")  # creates the file
+        kept, file_id = _task_cache(first, file_id, root)
+        assert kept is not first  # the file did not exist at first sight
+        assert _task_cache(kept, file_id, root) == (kept, file_id)
+        kept.cache_degraded = 1
+        fresh, same_id = _task_cache(kept, file_id, root)
+        assert fresh is not kept and same_id == file_id
+        assert fresh.get(SPECS[0]) == "r0"  # its open connection pins the file
+        shutil.rmtree(root)
+        TrialCache(root).put(SPECS[1], "r1")
+        replaced, new_id = _task_cache(fresh, same_id, root)
+        assert replaced is not fresh and new_id != same_id
+        assert fresh._conn is None  # the old file's connection is closed
+        assert replaced.get_many(SPECS[:2]) == [None, "r1"]
+        replaced.close()
 
     def test_a_fork_closes_the_parent_connection(self, tmp_path):
         cache = TrialCache(tmp_path / "cache")
