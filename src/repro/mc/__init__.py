@@ -36,7 +36,6 @@ from .explorer import (
 )
 from .fingerprint import (
     FingerprintError,
-    canonical_state,
     fingerprint,
     time_sensitive,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "UpsilonOutputProperty",
     "ValidityProperty",
     "build_simulation",
-    "canonical_state",
     "check",
     "execute_mc_shard",
     "explore_instance",

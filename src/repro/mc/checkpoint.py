@@ -15,7 +15,8 @@ simulation it takes over post-step bookkeeping (``Simulation.step`` calls
 * the **incremental fingerprint**
   (:class:`repro.mc.fingerprint.FingerprintState`) — per-process blake2b
   chains plus per-key memory fragments, wired to the memory journal's
-  ``on_touch``;
+  ``on_touch``, with the canonical encoder's caches living as long as the
+  journal;
 * a per-process **response log** (everything the process observed, in
   order) and a **history memo** mapping a process's chain digest to the
   step outcome it produced.
@@ -40,6 +41,14 @@ this residual work; DFS over a tree re-executes each process-local
 prefix at most once, so the counters collapse toward zero relative to
 the old whole-run replays).
 
+A step the encoder cannot encode leaves its process without a chain.
+The journal then keeps stepping that process without the memo (a detached
+process is rebuilt instead of served), and :meth:`digest` raises
+:class:`~repro.mc.fingerprint.FingerprintError` until a restore moves the
+process back before that step — so the explorer turns deduplication off
+exactly where a full-walk fingerprint would, and never reports the step
+as an error.
+
 Not supported: message-passing runs (mailbox state has no undo journal)
 — the journal refuses to attach when a network is present, and the
 explorer falls back to rebuild-and-replay backtracking there.
@@ -47,6 +56,7 @@ explorer falls back to rebuild-and-replay backtracking there.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime.process import ProcessStatus
@@ -54,6 +64,18 @@ from ..runtime.simulation import Simulation
 from .fingerprint import FingerprintState
 
 _RUNNING = ProcessStatus.RUNNING
+
+#: The runtime fields a checkpoint saves, in :class:`Checkpoint` order.
+_runtime_state = attrgetter(
+    "status",
+    "steps_taken",
+    "pending_op",
+    "has_decided",
+    "decision",
+    "has_emitted",
+    "emitted",
+    "return_value",
+)
 
 
 class Checkpoint:
@@ -100,6 +122,7 @@ class SimulationJournal:
 
     __slots__ = (
         "sim",
+        "_runtimes",
         "memory_journal",
         "fingerprints",
         "_responses",
@@ -116,6 +139,7 @@ class SimulationJournal:
                 "runs (no undo journal over mailboxes); use replay"
             )
         self.sim = sim
+        self._runtimes = [rt for _, rt in sim._ordered_runtimes]
         self.memory_journal = sim.memory.attach_journal()
         self.fingerprints = FingerprintState(sim)
         self.memory_journal.on_touch = self.fingerprints.touch
@@ -161,6 +185,8 @@ class SimulationJournal:
             runtime.steps_taken = len(responses)
         else:
             runtime.resume(response)
+        if chain is None:
+            return  # an unencodable step: no key to remember the outcome by
         if runtime.status is _RUNNING:
             self._memo[pid][chain] = (True, runtime.pending_op)
         else:
@@ -176,19 +202,6 @@ class SimulationJournal:
     def checkpoint(self) -> Checkpoint:
         sim = self.sim
         trace = sim.trace
-        procs = tuple(
-            (
-                rt.status,
-                rt.steps_taken,
-                rt.pending_op,
-                rt.has_decided,
-                rt.decision,
-                rt.has_emitted,
-                rt.emitted,
-                rt.return_value,
-            )
-            for _, rt in sim._ordered_runtimes
-        )
         return Checkpoint(
             sim.time,
             sim._next_crash,
@@ -196,7 +209,7 @@ class SimulationJournal:
             len(trace.outputs),
             sim.memory.op_count,
             self.memory_journal.mark(),
-            procs,
+            tuple(map(_runtime_state, self._runtimes)),
             self.fingerprints.chains_snapshot(),
         )
 
@@ -218,31 +231,29 @@ class SimulationJournal:
         sim.memory.op_count = checkpoint.op_count
         self.fingerprints.restore_chains(checkpoint.chains)
         responses = self._responses
-        for (pid, rt), saved in zip(sim._ordered_runtimes, checkpoint.procs):
-            (
-                status,
-                steps_taken,
-                pending_op,
-                has_decided,
-                decision,
-                has_emitted,
-                emitted,
-                return_value,
-            ) = saved
-            if rt.steps_taken != steps_taken and not rt.detached:
+        for rt, saved in zip(self._runtimes, checkpoint.procs):
+            steps_taken = saved[1]
+            if rt.steps_taken == steps_taken:
+                # Steps only accumulate between checkpoint and restore, so
+                # equal counts mean the process took no step since; if it
+                # did not crash either, every saved field is current.
+                if rt.status is saved[0]:
+                    continue
+            elif not rt.detached:
                 # The generator moved past the checkpoint; it cannot be
-                # rewound.  (Equal steps_taken ⟹ untouched: steps only
-                # ever accumulate between checkpoint and restore.)
+                # rewound.
                 rt.detach_generator()
-            rt.status = status
-            rt.steps_taken = steps_taken
-            rt.pending_op = pending_op
-            rt.has_decided = has_decided
-            rt.decision = decision
-            rt.has_emitted = has_emitted
-            rt.emitted = emitted
-            rt.return_value = return_value
-            log = responses[pid]
+            (
+                rt.status,
+                rt.steps_taken,
+                rt.pending_op,
+                rt.has_decided,
+                rt.decision,
+                rt.has_emitted,
+                rt.emitted,
+                rt.return_value,
+            ) = saved
+            log = responses[rt.pid]
             if len(log) > steps_taken:
                 del log[steps_taken:]
         sim._eligible = None

@@ -10,41 +10,38 @@ fingerprint may share their subtrees:
   process's step history (plus its runtime status) instead of its Python
   frame — frames carry address-bearing objects that differ across replays
   of the *same* run.  The history enters the digest as a per-process
-  **blake2b chain**: ``chain_{k+1} = blake2b(chain_k ‖ fragment_k)`` where
-  ``fragment_k`` canonically encodes the ``k``-th ``(op, response)`` pair.
-  A chain is updated in O(1) from the single step a transition produced
-  (see :class:`FingerprintState`), while the chained digest still commits
-  to the entire observation sequence.
-* **Shared-memory contents**, canonically encoded per object kind via
-  :meth:`repro.memory.base.Memory.keys`.  Write/update counters are
-  deliberately excluded: no operation observes them.  Each object's
-  fragment is cached and re-derived only when a step touches its key.
-* **Time, the detector-history position, and the pending crash set** —
-  but only when the state is *time-sensitive* (:func:`time_sensitive`).
-  Once a :class:`~repro.detectors.base.StableHistory` has stabilized and
-  no crash is pending, the detector answers and the failure pattern are
-  invariant under time shifts, so states reached at different clock values
-  may merge.
+  **blake2b chain**: ``chain_{k+1} = blake2b(chain_k ‖ step_k)`` where
+  ``step_k`` is the canonical bytes of the ``k``-th ``(op, response)``
+  pair.  A chain is extended in O(1) from the single step a transition
+  produced, while the chained digest still commits to the entire
+  observation sequence.
+* **Shared-memory contents**, encoded per object kind.  Write/update
+  counters are deliberately excluded: no operation observes them.
+* **Time and the pending crash set** — but only while the state is
+  *time-sensitive* (:func:`time_sensitive`), that is before the run's
+  :func:`sensitivity_horizon`: once a :class:`StableHistory` has
+  stabilized and no crash is pending, the detector answers and the failure
+  pattern are invariant under time shifts, so states reached at different
+  clock values may merge.
 
-:func:`fingerprint` computes the digest from scratch (walking the trace);
-:class:`FingerprintState` maintains the same digest incrementally and is
-byte-identical to :func:`fingerprint` at every state — the explorer uses
-the incremental form, and ``tests/test_mc_checkpoint.py`` pins the
-equivalence.  :func:`canonical_fingerprint` hashes the whole
-:func:`canonical_state` JSON in one piece (the pre-incremental scheme);
-it induces the same state partition — equal states, equal digests — which
-is what deduplication soundness rests on.
+One canonical byte encoder (:class:`Encoder`) produces every byte that
+is hashed.  :class:`FingerprintState` maintains a live simulation's
+digest incrementally; :func:`fingerprint` builds a fresh one over a
+simulation's trace, so the full walk and the incremental digest are
+byte-identical by construction.  The encoder's caches belong to the
+``FingerprintState``, so they live exactly as long as one exploration.
 
 Soundness caveats (see docs/API.md):
 
 * Protocols must be deterministic in their observations.  Randomized
   protocols would need their RNG state folded into the process history.
-* Unknown shared-object types cannot be canonically encoded;
-  :func:`fingerprint` raises :class:`FingerprintError` rather than hash a
-  ``repr`` containing a memory address.  The explorer falls back to
-  exploration without merging in that case.
-* Message-passing runs (a non-``None`` network) are not fingerprinted —
-  mailbox delivery times are absolute, so almost no merging would be
+* Values outside the encoder's domain (``None``, ``⊥``, ``bool``, ``int``,
+  ``float``, ``str`` and tuples and frozensets of these), operations the
+  encoder does not know and unknown shared-object types raise
+  :class:`FingerprintError` rather than hash a ``repr``.  The explorer
+  then explores without merging.
+* Message-passing runs (a non-``None`` network) are always time-sensitive
+  — mailbox delivery times are absolute, so almost no merging would be
   sound; the explorer disables deduplication instead.
 """
 
@@ -52,12 +49,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from bisect import bisect_left, insort
 from typing import Any, Dict, List, Optional, Tuple
 
-import json
-
-from ..analysis.trace_io import _encode_op, encode_value
 from ..detectors.base import (
     ConstantHistory,
     History,
@@ -73,6 +68,22 @@ from ..memory.base import (
 )
 from ..memory.immediate import ImmediateSnapshotObject
 from ..runtime.errors import ReproError
+from ..runtime.ops import (
+    BOT,
+    Broadcast,
+    ConsensusPropose,
+    Decide,
+    Emit,
+    ImmediateWriteScan,
+    Nop,
+    QueryFD,
+    Read,
+    Receive,
+    Send,
+    SnapshotScan,
+    SnapshotUpdate,
+    Write,
+)
 from ..runtime.process import ProcessStatus
 from ..runtime.simulation import Simulation
 
@@ -94,23 +105,13 @@ def pending_crashes(sim: Simulation) -> List[Tuple[int, int]]:
     )
 
 
-def history_time_sensitive(history: Optional[History], t: int) -> bool:
-    """Can the history's answers still change at or after time ``t``?
-
-    ``False`` is only returned when provably constant from ``t`` on:
-    no history, a :class:`ConstantHistory`, or a (locally) stable history
-    past its stabilization time (or with no noise at all).  Unknown
-    history classes are conservatively sensitive.
-    """
-    return t < history_sensitivity_horizon(history)
-
-
 def history_sensitivity_horizon(history: Optional[History]) -> float:
     """First time from which the history is provably constant.
 
-    ``history_time_sensitive(h, t)`` ⟺ ``t < history_sensitivity_horizon(h)``
-    — the horizon form lets the incremental fingerprint precompute the
-    threshold once per exploration instead of re-dispatching per state.
+    ``0`` for no history, a :class:`ConstantHistory`, or a (locally)
+    stable history without noise; the stabilization time of a noisy one;
+    one past the last scripted entry of a :class:`ScriptedHistory`.
+    Unknown history classes are conservatively never constant.
     """
     if history is None or isinstance(history, ConstantHistory):
         return 0
@@ -123,379 +124,350 @@ def history_sensitivity_horizon(history: Optional[History]) -> float:
     return math.inf
 
 
+def sensitivity_horizon(sim: Simulation) -> float:
+    """First time from which the run's states are time-insensitive.
+
+    Fixed for a run: the latest crash time of a participating process or
+    the history's horizon, whichever is later, and ``math.inf`` with a
+    network attached (delivery times are absolute).
+    """
+    if sim.network is not None:
+        return math.inf
+    return max(
+        [history_sensitivity_horizon(sim.history)]
+        + [
+            when
+            for pid, when in sim.pattern.crash_times.items()
+            if pid in sim.runtimes
+        ]
+    )
+
+
 def time_sensitive(sim: Simulation) -> bool:
     """Does the absolute clock value still matter for this state's future?
 
-    True when a network is attached (delivery times are absolute), when a
-    participating process has a crash scheduled in the future, or when the
-    detector history has not provably stabilized yet.  Time-insensitivity
-    is monotone: once a state is insensitive, all its successors are.
+    True when a network is attached, when a participating process has a
+    crash scheduled in the future, or when the detector history has not
+    provably stabilized yet.  Time-insensitivity is monotone: once a
+    state is insensitive, all its successors are.
     """
-    if sim.network is not None:
-        return True
-    if pending_crashes(sim):
-        return True
-    return history_time_sensitive(sim.history, sim.time)
+    return sim.time < sensitivity_horizon(sim)
 
 
 # -- canonical encoding -------------------------------------------------------
+#
+# Every encoding is prefix-free, so a concatenation of encodings is
+# injective without any framing:
+#
+#   None   N                True   T         int  i<decimal>;
+#   ⊥      B                False  F
+#   float  f<IEEE 754 binary64, big-endian: 0.0 and -0.0 differ>
+#   str    s<length of the UTF-8 bytes>:<UTF-8 bytes>
+#   tuple  (<items>)        frozenset  {<items, sorted by their encodings>}
+#
+# An operation is its class tag followed by its fields in declaration
+# order; a shared object is its kind tag followed by its observable fields.
 
+_pack_float = struct.Struct(">d").pack
 
-def _encode_object(key: Any, obj: Any) -> list:
-    kind = type(obj)
-    if kind is SWMRRegister:
-        return ["swmr", obj.writer, encode_value(obj.value)]
-    if kind is AtomicRegister:
-        return ["reg", encode_value(obj.value)]
-    if kind is PrimitiveSnapshot:
-        return ["snap", [encode_value(c) for c in obj.cells]]
-    if kind is ImmediateSnapshotObject:
-        return [
-            "imm",
-            [encode_value(c) for c in obj.cells],
-            sorted(obj.called),
-        ]
-    if isinstance(obj, ConsensusObject):
-        return [
-            "cons",
-            obj.m,
-            bool(obj.decided),
-            encode_value(obj.decision),
-            sorted(obj.accessors),
-        ]
-    raise FingerprintError(
-        f"cannot canonically encode shared object {obj.describe()} at "
-        f"key {key!r}"
-    )
-
-
-def _canonical_json(value: Any) -> str:
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
-
-
-def canonical_state(sim: Simulation) -> Dict[str, Any]:
-    """The state as a JSON-safe structure (the fingerprint's preimage).
-
-    Exposed separately from :func:`fingerprint` so tests can inspect *why*
-    two states hash equal or different.
-    """
-    per_pid: Dict[int, list] = {pid: [] for pid in sim.runtimes}
-    for step in sim.trace.steps:
-        per_pid[step.pid].append(
-            [_encode_op(step.op), encode_value(step.response)]
-        )
-    procs: Dict[str, Any] = {}
-    for pid in sorted(sim.runtimes):
-        runtime = sim.runtimes[pid]
-        procs[str(pid)] = {"st": runtime.status.name, "h": per_pid[pid]}
-    memory = [
-        [encode_value(key), _encode_object(key, sim.memory.get(key))]
-        for key in sorted(
-            sim.memory.keys(), key=lambda k: _canonical_json(encode_value(k))
-        )
-    ]
-    state: Dict[str, Any] = {"p": procs, "m": memory}
-    if time_sensitive(sim):
-        state["t"] = sim.time
-        state["crash"] = [[pid, when] for pid, when in pending_crashes(sim)]
-    return state
-
-
-def canonical_fingerprint(sim: Simulation) -> str:
-    """Hash of the whole :func:`canonical_state` JSON in one piece.
-
-    The pre-incremental scheme, kept as the differential-testing oracle:
-    it costs O(trace) per call, but its digests partition states exactly
-    like :func:`fingerprint`'s (two states collide in one scheme iff they
-    collide in the other — both commit to the same canonical components).
-    """
-    blob = _canonical_json(canonical_state(sim))
-    return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
-
-
-# -- chained (incremental) fingerprints ---------------------------------------
-
-_EMPTY_CHAIN = b""
-_blake2b = hashlib.blake2b
-
-_STATUS_TAG = {
-    ProcessStatus.RUNNING: b"R",
-    ProcessStatus.RETURNED: b"D",
-    ProcessStatus.CRASHED: b"C",
+_OP_TAGS = {
+    Read: b"r",
+    Write: b"w",
+    SnapshotUpdate: b"u",
+    SnapshotScan: b"s",
+    ImmediateWriteScan: b"i",
+    ConsensusPropose: b"p",
+    QueryFD: b"q",
+    Decide: b"d",
+    Emit: b"e",
+    Send: b">",
+    Broadcast: b"*",
+    Receive: b"<",
+    Nop: b"n",
 }
 
 
-#: Exact value classes whose ``__eq__`` implies identical canonical
-#: encoding — the domain :func:`_typed` (and therefore the fragment and
-#: token caches) is willing to key on.  ``bool`` and ``int`` are distinct
-#: entries on purpose: ``True == 1`` but they encode differently, so the
-#: cache key carries the exact class alongside the value.
-_ATOMIC_TYPES = frozenset(
-    {int, bool, float, str, bytes, type(None)}
-)
+class Encoder:
+    """Canonical bytes of values, operations and shared objects.
 
-try:  # BOT is its own singleton sentinel (encode_value special-cases it)
-    from ..runtime.ops import BOT as _BOT
-except ImportError:  # pragma: no cover
-    _BOT = object()
+    Encodes by exact type: ``True``, ``1`` and ``1.0`` encode apart, as do
+    ``0.0`` and ``-0.0``.  Anything outside the domain raises
+    :class:`FingerprintError`.
 
+    Values and operations are remembered by object identity, so each
+    object is encoded once per encoder.  The encoder keeps every object
+    it remembers alive, which guarantees that an id is never reused while
+    its entry exists; every object in the domain is immutable, so a
+    remembered encoding stays correct.
+    """
 
-def _typed(value: Any) -> Any:
-    """A hashable cache key that is *type-faithful*: two values get equal
-    keys only when they have the same exact classes and equal contents
-    recursively — which guarantees equal canonical encodings.  Raises
-    ``TypeError`` for anything outside the known-safe domain (the caller
-    then skips the cache and encodes from scratch)."""
-    cls = value.__class__
-    if cls in _ATOMIC_TYPES or value is _BOT:
-        return (cls, value)
-    if cls is tuple:
-        return (cls, tuple(map(_typed, value)))
-    if cls is frozenset:
-        return (cls, frozenset(map(_typed, value)))
-    raise TypeError(f"not cache-keyable: {cls.__name__}")
+    __slots__ = ("_memo", "_pinned")
 
+    def __init__(self) -> None:
+        self._memo: Dict[int, bytes] = {}
+        self._pinned: List[Any] = []
 
-#: (op class, typed fields, typed response) -> fragment bytes.  Bounded:
-#: cleared wholesale if it ever grows past the cap (distinct observations
-#: in one exploration are far fewer; the cap is a leak guard, not LRU).
-_OP_FRAGMENT_CACHE: Dict[Any, bytes] = {}
-_OP_FRAGMENT_CACHE_CAP = 1 << 16
+    def value(self, value: Any) -> bytes:
+        encoded = self._memo.get(id(value))
+        if encoded is None:
+            encoded = self._memo[id(value)] = self._encode(value)
+            self._pinned.append(value)
+        return encoded
 
-
-def _op_fragment(op: Any, response: Any) -> bytes:
-    """Canonical bytes of one ``(op, response)`` observation (cached —
-    the same observations recur across every interleaving of a run)."""
-    try:
-        key = (
-            op.__class__,
-            tuple(map(_typed, op.__dict__.values())),
-            _typed(response),
-        )
-    except TypeError:
-        key = None
-    else:
-        fragment = _OP_FRAGMENT_CACHE.get(key)
-        if fragment is not None:
-            return fragment
-    try:
-        encoded = [_encode_op(op), encode_value(response)]
-    except KeyError as exc:  # op type unknown to the trace codec
+    def _encode(self, value: Any) -> bytes:
+        cls = value.__class__
+        if cls is str:
+            raw = value.encode("utf-8", "surrogatepass")
+            return b"s%d:%b" % (len(raw), raw)
+        if cls is int:
+            return b"i%d;" % value
+        if cls is tuple:
+            return b"(%b)" % b"".join([self.value(item) for item in value])
+        if cls is frozenset:
+            return self._set(value)
+        if cls is bool:
+            return b"T" if value else b"F"
+        if cls is float:
+            return b"f" + _pack_float(value)
+        if value is None:
+            return b"N"
+        if value is BOT:
+            return b"B"
         raise FingerprintError(
-            f"cannot canonically encode operation {op!r}"
-        ) from exc
-    fragment = _canonical_json(encoded).encode("utf-8")
-    if key is not None:
-        if len(_OP_FRAGMENT_CACHE) >= _OP_FRAGMENT_CACHE_CAP:
-            _OP_FRAGMENT_CACHE.clear()
-        _OP_FRAGMENT_CACHE[key] = fragment
-    return fragment
-
-
-def _chain_extend(chain: bytes, fragment: bytes) -> bytes:
-    """``chain'`` committing to ``chain`` followed by ``fragment``.
-
-    The previous chain is a fixed-width (16-byte, or empty initial)
-    prefix, so the concatenation is prefix-free — no framing needed.
-    """
-    h = _blake2b(chain, digest_size=16)
-    h.update(fragment)
-    return h.digest()
-
-
-_KEY_TOKEN_CACHE: Dict[Any, str] = {}
-
-
-def _key_token(key: Any) -> str:
-    """Canonical sort token of a memory key (matches the order
-    :func:`canonical_state` lists objects in).  Cached type-faithfully:
-    protocols address the same few keys on every step."""
-    try:
-        cache_key = _typed(key)
-    except TypeError:
-        return _canonical_json(encode_value(key))
-    token = _KEY_TOKEN_CACHE.get(cache_key)
-    if token is None:
-        token = _canonical_json(encode_value(key))
-        if len(_KEY_TOKEN_CACHE) >= _OP_FRAGMENT_CACHE_CAP:
-            _KEY_TOKEN_CACHE.clear()
-        _KEY_TOKEN_CACHE[cache_key] = token
-    return token
-
-
-def _memory_fragment(token: str, key: Any, obj: Any) -> bytes:
-    return (
-        token + "\x1f" + _canonical_json(_encode_object(key, obj))
-    ).encode("utf-8")
-
-
-def _assemble_digest(
-    proc_entries,  # iterable of (pid, status_tag: bytes, chain: bytes)
-    memory_fragments,  # iterable of bytes, in key-token order
-    time_blob: Optional[bytes],  # None when time-insensitive
-) -> str:
-    """Combine the per-component digests into the state digest.
-
-    Every variable-length field is length-prefixed, so distinct component
-    sequences yield distinct byte streams.  Shared by :func:`fingerprint`
-    and :class:`FingerprintState` — byte-identity between the two is by
-    construction, not by test alone.
-    """
-    h = _blake2b(digest_size=16)
-    update = h.update
-    for pid, status_tag, chain in proc_entries:
-        update(b"p%d%s%d:" % (pid, status_tag, len(chain)))
-        update(chain)
-    for fragment in memory_fragments:
-        update(b"m%d:" % len(fragment))
-        update(fragment)
-    if time_blob is not None:
-        update(b"t%d:" % len(time_blob))
-        update(time_blob)
-    return h.hexdigest()
-
-
-def _time_blob(sim: Simulation) -> Optional[bytes]:
-    if not time_sensitive(sim):
-        return None
-    return _canonical_json(
-        [sim.time, [[pid, when] for pid, when in pending_crashes(sim)]]
-    ).encode("utf-8")
-
-
-def fingerprint(sim: Simulation) -> str:
-    """A stable 128-bit hex digest of the state (chained scheme).
-
-    Deterministic across replays and across processes (the encoding never
-    touches object identities or hash randomization).  Computed from
-    scratch by walking the trace; byte-identical to the incrementally
-    maintained :meth:`FingerprintState.digest` at every reachable state.
-    """
-    chains: Dict[int, bytes] = {pid: _EMPTY_CHAIN for pid in sim.runtimes}
-    for step in sim.trace.steps:
-        chains[step.pid] = _chain_extend(
-            chains[step.pid], _op_fragment(step.op, step.response)
+            f"cannot canonically encode {cls.__name__} value {value!r}"
         )
-    proc_entries = [
-        (pid, _STATUS_TAG[sim.runtimes[pid].status], chains[pid])
-        for pid in sorted(sim.runtimes)
-    ]
-    memory = sim.memory
-    tokens = sorted((_key_token(key), key) for key in memory.keys())
-    fragments = [
-        _memory_fragment(token, key, memory.get(key))
-        for token, key in tokens
-    ]
-    return _assemble_digest(proc_entries, fragments, _time_blob(sim))
+
+    def _set(self, items) -> bytes:
+        return b"{%b}" % b"".join(sorted([self.value(item) for item in items]))
+
+    def step(self, op: Any, response: Any) -> bytes:
+        """One observation: the operation's bytes, then the response's."""
+        encoded = self._memo.get(id(op))
+        if encoded is None:
+            tag = _OP_TAGS.get(op.__class__)
+            if tag is None:
+                raise FingerprintError(
+                    f"cannot canonically encode operation {op!r}"
+                )
+            encoded = self._memo[id(op)] = tag + b"".join(
+                [self.value(field) for field in vars(op).values()]
+            )
+            self._pinned.append(op)
+        if response is None:
+            return encoded + b"N"
+        if response.__class__ is tuple:
+            # A scan builds a fresh tuple every step: remember its items,
+            # not the tuple, or the memo would grow with every scan.
+            return b"%b(%b)" % (
+                encoded, b"".join([self.value(item) for item in response])
+            )
+        return encoded + self.value(response)
+
+    def shared_object(self, key: Any, obj: Any) -> bytes:
+        """The observable state of one shared object."""
+        cls = obj.__class__
+        value = self.value
+        if cls is AtomicRegister:
+            return b"R" + value(obj.value)
+        if cls is SWMRRegister:
+            return b"W" + value(obj.writer) + value(obj.value)
+        if cls is PrimitiveSnapshot:
+            return b"S(%b)" % b"".join([value(cell) for cell in obj.cells])
+        if cls is ImmediateSnapshotObject:
+            return b"I(%b)%b" % (
+                b"".join([value(cell) for cell in obj.cells]),
+                self._set(obj.called),
+            )
+        if cls is ConsensusObject:
+            return b"C%b%b%b%b" % (
+                value(obj.m),
+                value(obj.decided),
+                value(obj.decision),
+                self._set(obj.accessors),
+            )
+        raise FingerprintError(
+            f"cannot canonically encode shared object {obj.describe()} at "
+            f"key {key!r}"
+        )
+
+
+# -- fingerprints -------------------------------------------------------------
+
+#: The chain of a process that has not stepped yet (chains are 16 bytes).
+_EMPTY_CHAIN = bytes(16)
+_blake2b = hashlib.blake2b
+
+_RUNNING = ProcessStatus.RUNNING
+_RETURNED = ProcessStatus.RETURNED
+_STATUS_TAGS = (b"R", b"D", b"C")  # running, returned, crashed
 
 
 class FingerprintState:
-    """Incrementally-maintained fingerprint of one live simulation.
+    """Incrementally maintained fingerprint of one live simulation.
 
-    Owns three caches, each invalidated by exactly the events that change
-    its component:
+    Owns the :class:`Encoder` and three caches, each invalidated by
+    exactly the events that change its component:
 
     * per-process blake2b **chains**, extended in O(1) per executed step
       (:meth:`extend`) and restored from checkpoints on backtrack;
-    * per-key canonical **memory fragments**, dropped when the memory
-      journal reports a touch (:meth:`touch`) and re-derived lazily;
-    * the sorted **key-token order**, adjusted on object creation and
-      checkpoint-undo deletion.
+    * per-key **memory fragments**, dropped when the memory journal
+      reports a touch (:meth:`touch`) and reassembled lazily from the
+      encoder's remembered encodings of the object's contents;
+    * the **key order** (keys sorted by their encodings), adjusted when a
+      touch creates or deletes a key.
 
-    :meth:`digest` assembles the same byte stream as :func:`fingerprint`,
-    paying O(processes + objects) instead of O(trace).
+    The digest hashes, in one call, each process's pid, status and chain,
+    then each object's key and state in key order, then — while the state
+    is time-sensitive — the time and the pending crashes.  A process whose
+    history holds an unencodable step has no chain, and :meth:`digest`
+    raises :class:`FingerprintError` while that step is in the state.
     """
 
     __slots__ = (
         "_sim",
-        "_chains",
-        "_fragments",
-        "_tokens",
-        "_by_token",
+        "_encoder",
+        "_procs",
         "_pids",
-        "_history_horizon",
+        "_chains",
+        "_errors",
+        "_objects",
+        "_keys",
+        "_order",
+        "_fragments",
+        "_horizon",
+        "_time_parts",
     )
 
     def __init__(self, sim: Simulation):
         self._sim = sim
-        self._pids = sorted(sim.runtimes)
-        self._chains: Dict[int, bytes] = {
-            pid: _EMPTY_CHAIN for pid in self._pids
-        }
+        self._encoder = encoder = Encoder()
+        #: (pid, runtime, label if running, if returned, if crashed)
+        self._procs = [
+            (pid, runtime, *[encoder.value(pid) + tag for tag in _STATUS_TAGS])
+            for pid, runtime in sorted(sim.runtimes.items())
+        ]
+        self._pids = tuple(proc[0] for proc in self._procs)
+        self._chains: Dict[int, Optional[bytes]] = dict.fromkeys(
+            self._pids, _EMPTY_CHAIN
+        )
+        self._errors: Dict[int, str] = {}
         for step in sim.trace.steps:
             self.extend(step.pid, step.op, step.response)
-        self._fragments: Dict[str, bytes] = {}
-        self._tokens: List[str] = []
-        self._by_token: Dict[str, Any] = {}
-        for key in sim.memory.keys():
-            token = _key_token(key)
-            insort(self._tokens, token)
-            self._by_token[token] = key
-        self._history_horizon = history_sensitivity_horizon(sim.history)
+        self._objects = sim.memory._objects
+        #: memory key -> its encoding, for the keys in ``_order``
+        self._keys: Dict[Any, bytes] = {}
+        #: ``(encoding, key)`` sorted; ``None`` = rebuild at the next digest
+        self._order: Optional[List[Tuple[bytes, Any]]] = None
+        self._fragments: Dict[Any, bytes] = {}
+        self._horizon = sensitivity_horizon(sim)
+        self._time_parts: Dict[int, bytes] = {}
 
     # -- maintenance -------------------------------------------------------
 
-    def extend(self, pid: int, op: Any, response: Any) -> bytes:
+    def extend(self, pid: int, op: Any, response: Any) -> Optional[bytes]:
         """Fold one executed step into ``pid``'s chain; returns the new
         chain (which doubles as the history-memo key in
-        :mod:`repro.mc.checkpoint`)."""
-        chain = _chain_extend(
-            self._chains[pid], _op_fragment(op, response)
-        )
+        :mod:`repro.mc.checkpoint`), or ``None`` once the process has
+        observed a step the encoder cannot encode."""
+        chain = self._chains[pid]
+        if chain is None:
+            return None
+        try:
+            chain = _blake2b(
+                chain + self._encoder.step(op, response), digest_size=16
+            ).digest()
+        except FingerprintError as exc:
+            self._errors.setdefault(pid, str(exc))
+            chain = None
         self._chains[pid] = chain
         return chain
 
     def touch(self, key: Any) -> None:
-        """A step (or an undo) changed ``key``'s object — invalidate its
-        fragment, and track creation/deletion in the sorted key order."""
-        token = _key_token(key)
-        self._fragments.pop(token, None)
-        if key in self._sim.memory._objects:
-            if token not in self._by_token:
-                insort(self._tokens, token)
-                self._by_token[token] = key
-        elif token in self._by_token:
-            index = bisect_left(self._tokens, token)
-            del self._tokens[index]
-            del self._by_token[token]
+        """A step (or an undo) changed ``key``'s object: drop its fragment,
+        and track a created or deleted key in the key order."""
+        self._fragments.pop(key, None)
+        order = self._order
+        if order is None:
+            return
+        keys = self._keys
+        if key in self._objects:
+            if key not in keys:
+                try:
+                    encoded = keys[key] = self._encoder.value(key)
+                except FingerprintError:
+                    self._order = None  # the next digest raises
+                    return
+                insort(order, (encoded, key))
+        elif key in keys:
+            del order[bisect_left(order, (keys.pop(key),))]
 
-    def chains_snapshot(self) -> Tuple[bytes, ...]:
+    def chains_snapshot(self) -> Tuple[Optional[bytes], ...]:
         """The per-process chains in sorted-pid order (checkpoint state)."""
-        chains = self._chains
-        return tuple(chains[pid] for pid in self._pids)
+        return tuple(self._chains.values())
 
-    def restore_chains(self, snapshot: Tuple[bytes, ...]) -> None:
-        chains = self._chains
-        for pid, chain in zip(self._pids, snapshot):
-            chains[pid] = chain
+    def restore_chains(self, snapshot: Tuple[Optional[bytes], ...]) -> None:
+        self._chains = dict(zip(self._pids, snapshot))
 
     # -- digest ------------------------------------------------------------
 
     def digest(self) -> str:
         """The state digest; byte-identical to ``fingerprint(self._sim)``."""
-        sim = self._sim
-        runtimes = sim.runtimes
         chains = self._chains
-        proc_entries = [
-            (pid, _STATUS_TAG[runtimes[pid].status], chains[pid])
-            for pid in self._pids
-        ]
+        parts = []
+        append = parts.append
+        for pid, runtime, running, returned, crashed in self._procs:
+            chain = chains[pid]
+            if chain is None:
+                raise FingerprintError(
+                    f"process {pid} observed a step that cannot be "
+                    f"canonically encoded: {self._errors[pid]}"
+                )
+            status = runtime.status
+            append(
+                running if status is _RUNNING
+                else returned if status is _RETURNED
+                else crashed
+            )
+            append(chain)
+        append(b"|")
+        order = self._order
+        if order is None:
+            order = self._rebuild_order()
         fragments = self._fragments
-        by_token = self._by_token
-        memory = sim.memory
-        mem_iter = []
-        for token in self._tokens:
-            fragment = fragments.get(token)
+        for encoded, key in order:
+            fragment = fragments.get(key)
             if fragment is None:
-                key = by_token[token]
-                fragment = _memory_fragment(token, key, memory.get(key))
-                fragments[token] = fragment
-            mem_iter.append(fragment)
-        time_blob = None
-        if sim.time < self._history_horizon:
-            time_blob = _time_blob(sim)
-        elif sim._next_crash is not None and pending_crashes(sim):
-            time_blob = _time_blob(sim)
-        return _assemble_digest(proc_entries, mem_iter, time_blob)
+                fragment = fragments[key] = encoded + (
+                    self._encoder.shared_object(key, self._objects[key])
+                )
+            append(fragment)
+        append(b"|")
+        time = self._sim.time
+        if time < self._horizon:
+            part = self._time_parts.get(time)
+            if part is None:
+                part = self._time_parts[time] = b"t" + self._encoder.value(
+                    (time, tuple(pending_crashes(self._sim)))
+                )
+            append(part)
+        return _blake2b(b"".join(parts), digest_size=16).hexdigest()
+
+    def _rebuild_order(self) -> List[Tuple[bytes, Any]]:
+        value = self._encoder.value
+        keys = self._keys = {key: value(key) for key in self._objects}
+        order = self._order = sorted(
+            [(encoded, key) for key, encoded in keys.items()]
+        )
+        return order
+
+
+def fingerprint(sim: Simulation) -> str:
+    """A stable 128-bit hex digest of the state.
+
+    Deterministic across replays and across processes (the encoded bytes
+    never depend on object identities or hash randomization).  Computed from
+    scratch by walking the trace into a fresh :class:`FingerprintState`,
+    so it is byte-identical to the incrementally maintained digest of a
+    :class:`~repro.mc.checkpoint.SimulationJournal` at every state.
+    """
+    return FingerprintState(sim).digest()

@@ -30,7 +30,8 @@ Soundness assumptions (enforced by :meth:`SleepSetReducer.applicable`):
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, Iterable
+import math
+from typing import FrozenSet, Iterable, Optional
 
 from ..runtime.ops import (
     Broadcast,
@@ -46,7 +47,7 @@ from ..runtime.ops import (
     SnapshotUpdate,
 )
 from ..runtime.simulation import Simulation
-from .fingerprint import time_sensitive
+from .fingerprint import sensitivity_horizon
 
 #: Steps with no shared-state footprint.  ``QueryFD`` qualifies only in
 #: time-insensitive states — the only states where the reducer runs.
@@ -113,14 +114,19 @@ class SleepSetReducer:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.stats = ReductionStats()
+        self._sim: Optional[Simulation] = None
+        self._horizon = math.inf
 
     def applicable(self, sim: Simulation) -> bool:
-        """May sleep sets prune at this state without losing behaviours?"""
-        return (
-            self.enabled
-            and sim.network is None
-            and not time_sensitive(sim)
-        )
+        """May sleep sets prune at this state without losing behaviours?
+
+        Only past the run's :func:`~repro.mc.fingerprint.sensitivity_horizon`
+        (never with a network), computed once per simulation.
+        """
+        if sim is not self._sim:
+            self._sim = sim
+            self._horizon = sensitivity_horizon(sim)
+        return self.enabled and sim.time >= self._horizon
 
     def child_sleep(
         self,

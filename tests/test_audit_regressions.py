@@ -32,10 +32,11 @@ import pytest
 
 from repro.audit import run_case
 from repro.audit.diff import replay_disagrees, shrink_replay_schedule
-from repro.mc.fingerprint import canonical_state, fingerprint
+from repro.mc.fingerprint import fingerprint
 from repro.mc.instances import McInstance, build_simulation, resolve_instance
 from repro.runtime.scheduler import ScriptedScheduler
 from repro.runtime.simulation import Simulation
+from tests.mc_reference import canonical_state
 
 
 def _buggy_run_script(self, script):

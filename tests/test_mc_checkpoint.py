@@ -13,11 +13,14 @@ import random
 
 import pytest
 
-from repro.mc import ExploreConfig, McInstance, build_simulation, \
-    explore_instance, resolve_instance
+from repro.mc import ExploreConfig, Explorer, McInstance, \
+    build_simulation, explore_instance, resolve_instance
 from repro.mc.checkpoint import SimulationJournal
-from repro.mc.fingerprint import canonical_fingerprint, fingerprint
+from repro.mc.fingerprint import FingerprintError, fingerprint
+from repro.runtime import Simulation, System
+from repro.runtime.ops import Nop, Read, Write
 from repro.runtime.process import ProcessStatus
+from tests.mc_reference import canonical_fingerprint
 
 
 def _fresh(instance):
@@ -165,3 +168,52 @@ class TestExplorerCheckpointing:
             [ce.schedule for ce in off.counterexamples]
         assert off.stats.restores == 0
         assert on.stats.replays == 0
+
+
+class Tick(Nop):
+    """A step the canonical encoder does not know (a ``Nop`` subclass)."""
+
+
+def _ticking_sim():
+    def protocol(ctx, value):
+        for round_ in range(3):
+            yield Write(("r", ctx.pid), round_)
+            yield Tick()
+            yield Read(("r", 1 - ctx.pid))
+
+    return Simulation(System(2), protocol)
+
+
+class TestUnencodableSteps:
+    """An unencodable step turns deduplication off on both backtracking
+    paths; it is never reported as an error."""
+
+    @pytest.mark.parametrize("checkpoint", [True, False])
+    def test_unknown_operation_degrades_to_exploring_without_merging(
+        self, checkpoint
+    ):
+        config = ExploreConfig(max_depth=12, checkpoint=checkpoint)
+        result = Explorer(_ticking_sim, [], config).explore()
+        reference = Explorer(_ticking_sim, [], ExploreConfig(
+            max_depth=12, dedup=False, checkpoint=False,
+        )).explore()
+        assert result.violations == [] == reference.violations
+        assert result.stats.states_visited == \
+            reference.stats.states_visited
+        assert result.stats.pruned_visited == 0
+
+    def test_journal_memo_skips_unencodable_histories(self):
+        sim = _ticking_sim()
+        journal = SimulationJournal(sim)
+        cp = journal.checkpoint()
+        sim.run_script([0, 0, 1])
+        with pytest.raises(FingerprintError, match="Tick"):
+            journal.digest()
+        journal.restore(cp)
+        assert journal.digest() == fingerprint(sim)
+        sim.run_script([0, 0, 1])  # past the Tick, p0's memo misses
+        assert journal.gen_replays == 1
+        fresh = _ticking_sim()
+        fresh.run_script([0, 0, 1])
+        assert [(s.pid, s.op, s.response) for s in sim.trace.steps] == \
+            [(s.pid, s.op, s.response) for s in fresh.trace.steps]

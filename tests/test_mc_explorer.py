@@ -142,3 +142,33 @@ class TestExtraction:
         assert result.ok
         assert result.stats.depth_exhausted > 0  # never terminates
         assert result.stats.complete_schedules == 0
+
+
+class TestStatePartitionPinned:
+    """Exploration totals recorded before the canonical byte encoder
+    replaced the JSON fragments.  Digest values may change with the
+    encoding; which states merge, and so every count below, may not."""
+
+    CASES = [
+        # instance, depth, sweep,
+        # (states_visited, restores, pruned_visited, explored, enabled)
+        (McInstance("fig1", n_processes=2), 14, CrashSweep(1, (0, 2)),
+         (512, 88, 2, 507, 770)),
+        (McInstance("extraction", n_processes=2), 12, CrashSweep(1, (0, 3)),
+         (224, 29, 6, 219, 284)),
+        (McInstance("fig2", n_processes=3, f=1, stabilization_time=3), 12,
+         CrashSweep(1, (0,)), (9207, 3667, 193, 9203, 15896)),
+        (McInstance("converge", n_processes=3), 12, None,
+         (5141, 2199, 0, 5140, 8823)),
+    ]
+
+    @pytest.mark.parametrize("instance, depth, sweep, totals", CASES,
+                             ids=[case[0].protocol for case in CASES])
+    def test_totals_unchanged(self, instance, depth, sweep, totals):
+        report = check(instance, ExploreConfig(max_depth=depth), sweep=sweep)
+        stats, reduction = report.total_stats(), report.total_reduction()
+        assert report.ok
+        assert (
+            stats.states_visited, stats.restores, stats.pruned_visited,
+            reduction.explored, reduction.enabled,
+        ) == totals
