@@ -327,7 +327,6 @@ class FingerprintState:
         "_sim",
         "_encoder",
         "_procs",
-        "_pids",
         "_chains",
         "_errors",
         "_objects",
@@ -346,10 +345,9 @@ class FingerprintState:
             (pid, runtime, *[encoder.value(pid) + tag for tag in _STATUS_TAGS])
             for pid, runtime in sorted(sim.runtimes.items())
         ]
-        self._pids = tuple(proc[0] for proc in self._procs)
-        self._chains: Dict[int, Optional[bytes]] = dict.fromkeys(
-            self._pids, _EMPTY_CHAIN
-        )
+        self._chains: Dict[int, Optional[bytes]] = {
+            proc[0]: _EMPTY_CHAIN for proc in self._procs
+        }
         self._errors: Dict[int, str] = {}
         for step in sim.trace.steps:
             self.extend(step.pid, step.op, step.response)
@@ -406,7 +404,7 @@ class FingerprintState:
         return tuple(self._chains.values())
 
     def restore_chains(self, snapshot: Tuple[Optional[bytes], ...]) -> None:
-        self._chains = dict(zip(self._pids, snapshot))
+        self._chains = dict(zip(self._chains, snapshot))
 
     # -- digest ------------------------------------------------------------
 

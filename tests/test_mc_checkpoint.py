@@ -174,6 +174,19 @@ class Tick(Nop):
     """A step the canonical encoder does not know (a ``Nop`` subclass)."""
 
 
+class Slot:
+    """A memory key outside the encoder's domain."""
+
+    def __init__(self, pid):
+        self.pid = pid
+
+    def __eq__(self, other):
+        return isinstance(other, Slot) and other.pid == self.pid
+
+    def __hash__(self):
+        return hash(("slot", self.pid))
+
+
 def _ticking_sim():
     def protocol(ctx, value):
         for round_ in range(3):
@@ -184,23 +197,34 @@ def _ticking_sim():
     return Simulation(System(2), protocol)
 
 
+def _slot_sim():
+    def protocol(ctx, value):
+        for round_ in range(3):
+            yield Write(("r", ctx.pid), round_)
+            yield Read(("r", 1 - ctx.pid))
+            yield Write(Slot(ctx.pid), round_)
+
+    return Simulation(System(2), protocol)
+
+
 class TestUnencodableSteps:
     """An unencodable step turns deduplication off on both backtracking
     paths; it is never reported as an error."""
 
+    @pytest.mark.parametrize("make_sim", [_ticking_sim, _slot_sim],
+                             ids=["operation", "memory-key"])
     @pytest.mark.parametrize("checkpoint", [True, False])
-    def test_unknown_operation_degrades_to_exploring_without_merging(
-        self, checkpoint
+    def test_unencodable_step_degrades_to_exploring_without_merging(
+        self, checkpoint, make_sim
     ):
         config = ExploreConfig(max_depth=12, checkpoint=checkpoint)
-        result = Explorer(_ticking_sim, [], config).explore()
-        reference = Explorer(_ticking_sim, [], ExploreConfig(
+        result = Explorer(make_sim, [], config).explore()
+        reference = Explorer(make_sim, [], ExploreConfig(
             max_depth=12, dedup=False, checkpoint=False,
         )).explore()
         assert result.violations == [] == reference.violations
         assert result.stats.states_visited == \
             reference.stats.states_visited
-        assert result.stats.pruned_visited == 0
 
     def test_journal_memo_skips_unencodable_histories(self):
         sim = _ticking_sim()
