@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from typing import FrozenSet, Iterable, Optional
 
 from ..runtime.ops import (
@@ -114,7 +115,9 @@ class SleepSetReducer:
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self.stats = ReductionStats()
-        self._sim: Optional[Simulation] = None
+        #: The run ``_horizon`` belongs to, held weakly so that the reducer
+        #: never keeps a finished run (and its journal's caches) alive.
+        self._run: Optional[weakref.ref] = None
         self._horizon = math.inf
 
     def applicable(self, sim: Simulation) -> bool:
@@ -123,8 +126,9 @@ class SleepSetReducer:
         Only past the run's :func:`~repro.mc.fingerprint.sensitivity_horizon`
         (never with a network), computed once per simulation.
         """
-        if sim is not self._sim:
-            self._sim = sim
+        run = self._run
+        if run is None or run() is not sim:
+            self._run = weakref.ref(sim)
             self._horizon = sensitivity_horizon(sim)
         return self.enabled and sim.time >= self._horizon
 

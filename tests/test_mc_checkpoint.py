@@ -9,12 +9,14 @@ families, with and without crashes, plus the explorer-level parity
 (checkpointing is a cost knob, never a verdict knob).
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.mc import ExploreConfig, Explorer, McInstance, \
-    build_simulation, explore_instance, resolve_instance
+    PropertyAdapter, build_simulation, explore_instance, resolve_instance
 from repro.mc.checkpoint import SimulationJournal
 from repro.mc.fingerprint import FingerprintError, fingerprint
 from repro.runtime import Simulation, System
@@ -168,6 +170,24 @@ class TestExplorerCheckpointing:
             [ce.schedule for ce in off.counterexamples]
         assert off.stats.restores == 0
         assert on.stats.replays == 0
+
+    def test_a_finished_exploration_keeps_no_run_alive(self):
+        """The simulation, its journal and the fingerprint caches are
+        garbage once the exploration returns, even while the explorer
+        object lives on."""
+        runs = []
+
+        class Watch(PropertyAdapter):
+            def on_step(self, sim, record):
+                if not runs:
+                    runs.append(weakref.ref(sim))
+
+        instance = resolve_instance(McInstance("fig1", n_processes=2))
+        explorer = Explorer(lambda: build_simulation(instance), [Watch()],
+                            ExploreConfig(max_depth=10))
+        assert explorer.explore().ok
+        gc.collect()
+        assert runs[0]() is None
 
 
 class Tick(Nop):
