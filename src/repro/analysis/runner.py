@@ -49,24 +49,30 @@ if TYPE_CHECKING:
     from ..chaos.config import ChaosConfig
 
 
+_ROUND_TAGS = frozenset(
+    {"nconv", "fconv", "Dr", "Stable", "gconv", "gfconv", "A"}
+)
+
+
+def _rounds_in(key: Any):
+    # Module-level, not a closure: a recursive closure is a reference
+    # cycle, left behind by every trial for the cyclic collector.
+    if isinstance(key, tuple):
+        if len(key) >= 2 and key[0] in _ROUND_TAGS and isinstance(key[1], int):
+            yield key[1]
+        for part in key:
+            yield from _rounds_in(part)
+
+
 def max_round_reached(sim: Simulation) -> int:
     """Highest protocol round with any footprint in shared memory.
 
     Protocol register/snapshot keys embed the round number as the second
     component of tuples headed by a known tag; we walk the memory keys.
     """
-    tags = {"nconv", "fconv", "Dr", "Stable", "gconv", "gfconv", "A"}
-
-    def rounds_in(key: Any):
-        if isinstance(key, tuple):
-            if len(key) >= 2 and key[0] in tags and isinstance(key[1], int):
-                yield key[1]
-            for part in key:
-                yield from rounds_in(part)
-
     best = 0
     for key in sim.memory.keys():
-        for r in rounds_in(key):
+        for r in _rounds_in(key):
             best = max(best, r)
     return best
 

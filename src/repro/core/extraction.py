@@ -78,12 +78,18 @@ def make_extraction_protocol(phi: Callable[[Any], PhiEntry]) -> Protocol:
         timestamp = 0
         # Freshness tracking: last timestamp seen per process's R register.
         last_seen: Dict[int, int] = {j: -1 for j in pids}
+        # Operations are immutable values, and the register keys never
+        # change: one query and one read per R[j] / B[j] serve every step.
+        query = QueryFD()
+        own_report = report_key(ctx.pid)
+        report_reads = [(j, Read(report_key(j))) for j in pids]
+        done_reads = [Read(done_key(j)) for j in pids]
 
         def task1_pulse():
             """One Task 1 beat: query D, publish with a fresh timestamp."""
             nonlocal timestamp
-            value = yield QueryFD()
-            yield Write(report_key(ctx.pid), (value, timestamp))
+            value = yield query
+            yield Write(own_report, (value, timestamp))
             timestamp += 1
             return value
 
@@ -95,8 +101,8 @@ def make_extraction_protocol(phi: Callable[[Any], PhiEntry]) -> Protocol:
             """
             counts: Dict[int, int] = {}
             conflict = None
-            for j in pids:
-                raw = yield Read(report_key(j))
+            for j, read in report_reads:
+                raw = yield read
                 if raw is BOT:
                     continue
                 value, ts = raw
@@ -145,8 +151,8 @@ def make_extraction_protocol(phi: Callable[[Any], PhiEntry]) -> Protocol:
                     progress = {j: 0 for j in pids}
                     continue
                 # A peer that finished observing d frees us (line 15/19).
-                for j in pids:
-                    flag = yield Read(done_key(j))
+                for read in done_reads:
+                    flag = yield read
                     if flag is not BOT and flag == d:
                         return _DONE
             return _DONE

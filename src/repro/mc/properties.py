@@ -217,14 +217,16 @@ class UpsilonOutputProperty(PropertyAdapter):
         return None
 
     def on_step(self, sim, record):
-        if type(record.op) is Emit:
+        # ``isinstance``, as the engine records it: an ``Emit`` subclass
+        # is an emit output too.
+        if isinstance(record.op, Emit):
             return self._bad(record.op.value)
         return None
 
     def check_run(self, sim):
-        for step in sim.trace.steps:
-            if type(step.op) is Emit:
-                reason = self._bad(step.op.value)
+        for output in sim.trace.outputs:
+            if output.kind == "emit":
+                reason = self._bad(output.value)
                 if reason:
                     return reason
         return None

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import compress, repeat
+from functools import partial
 from operator import attrgetter
-from typing import Any, Dict, Hashable, List, Optional, Union
+from typing import Any, Callable, Dict, Hashable, List, Optional, Union
 
 from .events import (
     AuditDivergence,
@@ -51,7 +51,7 @@ SPAN_METRIC_PREFIX = "span_"
 _NO_LABEL = ""
 
 _PID = attrgetter("pid")
-_OP = attrgetter("op")
+_PID_AND_OP_TYPE = attrgetter("pid", "op.__class__")
 
 Label = Hashable
 
@@ -247,6 +247,45 @@ class MetricsRegistry:
         return "\n".join([header, rule] + rows)
 
 
+_SENDER = attrgetter("sender")
+
+
+def _key_prefix(event: Any) -> str:
+    return event.key[:12]
+
+
+def _counting(metric: CounterMetric,
+              label: Callable[[Any], Label]) -> Callable[[Any], None]:
+    """A bus handler that counts each event in ``metric`` under
+    ``label(event)``."""
+    inc = metric.inc
+    return lambda event: inc(label(event))
+
+
+def _on_delivered(delivered: CounterMetric, latency: HistogramMetric,
+                  event: MessageDelivered) -> None:
+    delivered.inc(event.dest)
+    latency.observe(event.latency)
+
+
+def _on_span(registry: MetricsRegistry, event: TrialSpanRecorded) -> None:
+    registry.histogram(
+        f"{SPAN_METRIC_PREFIX}{event.span}_seconds",
+        "trial wall-clock phase (telemetry relay)",
+    ).observe(event.seconds)
+
+
+def _on_trial_completed(completed: CounterMetric, cached: CounterMetric,
+                        violations: CounterMetric,
+                        event: TrialCompleted) -> None:
+    if event.cached:
+        cached.inc(event.kind)
+    else:
+        completed.inc(event.kind)
+    if not event.ok:
+        violations.inc(event.kind)
+
+
 class MetricsCollector:
     """The standard collector: run-level metrics from the trace and the bus.
 
@@ -315,24 +354,33 @@ class MetricsCollector:
             "decision_time", "step of first decide")
         self._stab = m["emit_stabilization_time"] = GaugeMetric(
             "emit_stabilization_time", "time of the last emit-value change")
+        # The handlers hold metric objects, never the collector: a bus
+        # holding the collector's own bound methods would make every
+        # collector cyclic garbage, freed only by a collection pass.
         self.bus.subscribe_map({
-            MessageSent: self._on_sent,
-            MessageDelivered: self._on_delivered,
-            ProtocolViolated: self._on_violation,
-            SchedulerDecision: self._on_sched,
-            ChaosInjected: self._on_chaos,
-            MessageDropped: self._on_dropped,
-            MessageDuplicated: self._on_duplicated,
-            MessageDelayed: self._on_delayed,
-            TrialRetried: self._on_retry,
-            TrialQuarantined: self._on_quarantine,
-            TrialTimedOut: self._on_timeout,
-            InfraFaultInjected: self._on_infra_fault,
-            AuditDivergence: self._on_audit,
-            FarmTrialClaimed: self._on_farm_claim,
-            FarmLeaseExpired: self._on_farm_expiry,
-            TrialSpanRecorded: self._on_span,
-            TrialCompleted: self._on_trial_completed,
+            MessageSent: _counting(self._sent, _SENDER),
+            MessageDelivered: partial(
+                _on_delivered, self._delivered, self._latency),
+            ProtocolViolated: _counting(self._violations, _PID),
+            SchedulerDecision: _counting(self._sched, _PID),
+            ChaosInjected: _counting(self._chaos, attrgetter("kind")),
+            MessageDropped: _counting(self._dropped, _SENDER),
+            MessageDuplicated: _counting(self._duplicated, _SENDER),
+            MessageDelayed: _counting(self._delayed, _SENDER),
+            TrialRetried: _counting(self._retries, _key_prefix),
+            TrialQuarantined: _counting(self._quarantines, _key_prefix),
+            TrialTimedOut: _counting(self._timeouts, _key_prefix),
+            InfraFaultInjected: _counting(
+                self._infra_faults, lambda e: f"{e.component}:{e.kind}"),
+            AuditDivergence: _counting(self._audit, attrgetter("pair")),
+            FarmTrialClaimed: _counting(
+                self._farm_claims, attrgetter("worker")),
+            FarmLeaseExpired: _counting(
+                self._farm_expiries, lambda e: e.worker or "?"),
+            TrialSpanRecorded: partial(_on_span, self.registry),
+            TrialCompleted: partial(
+                _on_trial_completed, self._trials_completed,
+                self._trials_cached, self._trial_violations),
         })
 
     # -- the recorded run --------------------------------------------------
@@ -353,18 +401,15 @@ class MetricsCollector:
         from ..runtime.process import ProcessStatus
 
         trace = sim.trace
-        # Per-step columns, counted in C: a long trial has tens of
-        # thousands of steps but only a handful of pids and op types.
-        pids = list(map(_PID, trace.steps))
-        op_types = list(map(type, map(_OP, trace.steps)))
-        for pid, count in Counter(pids).items():
+        # One count per (pid, operation type) pair, taken in C: a long
+        # trial has tens of thousands of steps but a handful of pairs.
+        pairs = Counter(map(_PID_AND_OP_TYPE, trace.steps))
+        for (pid, op_type), count in pairs.items():
             self._steps.inc(pid, count)
-        for op_type, count in Counter(op_types).items():
+            if issubclass(op_type, QueryFD):
+                self._fd.inc(pid, count)
             if issubclass(op_type, SHARED_OBJECT_OPS):
                 self._mem.inc(op_type.__name__, count)
-        queries = compress(pids, map(issubclass, op_types, repeat(QueryFD)))
-        for pid, count in Counter(queries).items():
-            self._fd.inc(pid, count)
         last_emit: Dict[Any, Any] = {}
         for record in trace.outputs:
             pid = record.pid
@@ -381,68 +426,6 @@ class MetricsCollector:
         for pid, runtime in sim.runtimes.items():
             if runtime.status is ProcessStatus.CRASHED:
                 self._crashes.inc(pid)
-
-    # -- handlers ----------------------------------------------------------
-
-    def _on_sent(self, event: MessageSent) -> None:
-        self._sent.inc(event.sender)
-
-    def _on_delivered(self, event: MessageDelivered) -> None:
-        self._delivered.inc(event.dest)
-        self._latency.observe(event.latency)
-
-    def _on_violation(self, event: ProtocolViolated) -> None:
-        self._violations.inc(event.pid)
-
-    def _on_sched(self, event: SchedulerDecision) -> None:
-        self._sched.inc(event.pid)
-
-    def _on_chaos(self, event: ChaosInjected) -> None:
-        self._chaos.inc(event.kind)
-
-    def _on_dropped(self, event: MessageDropped) -> None:
-        self._dropped.inc(event.sender)
-
-    def _on_duplicated(self, event: MessageDuplicated) -> None:
-        self._duplicated.inc(event.sender)
-
-    def _on_delayed(self, event: MessageDelayed) -> None:
-        self._delayed.inc(event.sender)
-
-    def _on_retry(self, event: TrialRetried) -> None:
-        self._retries.inc(event.key[:12])
-
-    def _on_quarantine(self, event: TrialQuarantined) -> None:
-        self._quarantines.inc(event.key[:12])
-
-    def _on_timeout(self, event: TrialTimedOut) -> None:
-        self._timeouts.inc(event.key[:12])
-
-    def _on_infra_fault(self, event: InfraFaultInjected) -> None:
-        self._infra_faults.inc(f"{event.component}:{event.kind}")
-
-    def _on_audit(self, event: AuditDivergence) -> None:
-        self._audit.inc(event.pair)
-
-    def _on_farm_claim(self, event: FarmTrialClaimed) -> None:
-        self._farm_claims.inc(event.worker)
-
-    def _on_farm_expiry(self, event: FarmLeaseExpired) -> None:
-        self._farm_expiries.inc(event.worker or "?")
-
-    def _on_span(self, event: TrialSpanRecorded) -> None:
-        self.registry.histogram(
-            f"{SPAN_METRIC_PREFIX}{event.span}_seconds",
-            "trial wall-clock phase (telemetry relay)",
-        ).observe(event.seconds)
-
-    def _on_trial_completed(self, event: TrialCompleted) -> None:
-        if event.cached:
-            self._trials_cached.inc(event.kind)
-        else:
-            self._trials_completed.inc(event.kind)
-        if not event.ok:
-            self._trial_violations.inc(event.kind)
 
     # -- results -----------------------------------------------------------
 

@@ -45,12 +45,15 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import gc
 import os
 import pickle
 import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+
+from ..runtime.simulation import gc_paused
 
 # A module, not its names: execute_trial and spec_key are looked up per
 # batch, so a replacement installed on repro.perf.spec (tests) applies.
@@ -207,12 +210,16 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
         for position, spec in enumerate(task.specs):
             collector = MetricsCollector() if task.observed else None
             started = time.perf_counter()
-            if task.capture:
-                outcome, ok = _guarded(spec, task.timeout, collector, execute)
-            else:
-                # Plain mode: no watchdog, exceptions abort the batch
-                # (caught below and re-raised parent-side).
-                outcome, ok = execute(spec, collector=collector), True
+            # The cyclic GC stays off until the trial has returned and
+            # its trace is freed by reference counting (see gc_paused).
+            with gc_paused():
+                if task.capture:
+                    outcome, ok = _guarded(
+                        spec, task.timeout, collector, execute)
+                else:
+                    # Plain mode: no watchdog, exceptions abort the batch
+                    # (caught below and re-raised parent-side).
+                    outcome, ok = execute(spec, collector=collector), True
             seconds = time.perf_counter() - started
             telemetry = None
             if task.observed and ok:
@@ -273,6 +280,9 @@ def _worker_main(conn, warm: bool) -> None:
     """Long-lived worker loop: recv batch → execute → send reply."""
     global _SHARED, _SHARED_PID
     _SHARED, _SHARED_PID = None, -1  # never reuse a forked parent's pool
+    # A pool forked from inside a trial (an audit oracle's nested pool)
+    # inherits the trial's paused collector; a worker starts with it on.
+    gc.enable()
     if warm:
         from .spec import warm_imports
 

@@ -109,7 +109,8 @@ class ProcessRuntime:
 
     ``__slots__`` because one runtime exists per process per run and every
     engine step reads and writes several of these fields; slot access also
-    keeps :meth:`resume` — the hottest method in the engine — cheap.
+    keeps :meth:`resume` — run once per engine step, inline in
+    :meth:`~repro.runtime.simulation.Simulation.step` — cheap.
     """
 
     __slots__ = (
@@ -165,6 +166,7 @@ class ProcessRuntime:
         """Deliver ``response`` for the pending op and fetch the next op.
 
         ``_check_op`` is inlined: this method runs once per atomic step.
+        ``Simulation.step`` runs a copy of this body; keep the two in sync.
         """
         if self.status is not _RUNNING:
             raise ProtocolError(f"process {self.pid} resumed while {self.status}")

@@ -51,19 +51,22 @@ class RandomScheduler(Scheduler):
 
     def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        # ``choice(seq)`` is exactly ``seq[self._randbelow(len(seq))]``;
-        # binding the internal draw skips one frame per step without
-        # changing any seeded schedule.  Fall back to ``choice`` on
-        # interpreters that don't expose ``_randbelow``.
-        self._randbelow = getattr(self._rng, "_randbelow", None)
+        self._getrandbits = self._rng.getrandbits
 
     def choose(self, t: int, eligible: Sequence[int]) -> int:
-        if not eligible:
+        # ``Random.choice(seq)`` is ``seq[self._randbelow(len(seq))]``, and
+        # ``_randbelow(n)`` draws ``n.bit_length()`` bits until the draw is
+        # below ``n``.  The same draws made here, without the two frames,
+        # leave every seeded schedule unchanged (pinned by the tests).
+        n = len(eligible)
+        if not n:
             raise SchedulerError("no eligible process")
-        randbelow = self._randbelow
-        if randbelow is None:
-            return self._rng.choice(eligible)
-        return eligible[randbelow(len(eligible))]
+        getrandbits = self._getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return eligible[r]
 
 
 class WeightedRandomScheduler(Scheduler):

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import gc
 import threading
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence
 
 from ..detectors.base import History
 from ..failures.pattern import FailurePattern
@@ -60,12 +61,37 @@ from .scheduler import RandomScheduler, Scheduler
 from .trace import OutputRecord, StepRecord, Trace
 
 _RUNNING = ProcessStatus.RUNNING
+_RETURNED = ProcessStatus.RETURNED
 _CRASHED = ProcessStatus.CRASHED
 
 #: Guards explicit handler registration (:meth:`Simulation.register_operation`
 #: and :meth:`repro.memory.base.Memory.register_operation`).  The dispatch
 #: fast path never takes it — lookups are read-only.
 _HANDLER_LOCK = threading.Lock()
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for the ``with`` block.
+
+    A run keeps what it allocates (step records, operations, responses)
+    alive in its trace, and none of it is cyclic, so a collection pass
+    over it finds nothing.  Pausing the collector for the run alone does
+    not avoid that pass, it defers it: the first allocation after the run
+    scans the live trace (10-15 ms after a 40k-step trial).  So the trial
+    loop (:func:`repro.perf.pool._execute_batch`) keeps the collector off
+    until the trial function has returned and reference counting has freed
+    the trace.  A nested block leaves the collector to the outermost one,
+    which restores the state it found.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    try:
+        gc.disable()
+        yield
+    finally:
+        gc.enable()
 
 
 def resolve_op_handler(
@@ -289,7 +315,12 @@ class Simulation:
             handler = resolve_op_handler(self._OP_HANDLERS, op.__class__)
             if handler is None:
                 raise ProtocolError(f"unknown operation {op!r}")
-        response = handler(self, op, pid)
+        if handler is _exec_shared:
+            # Most steps are shared-object operations: call the memory
+            # without the wrapper's frame.
+            response = self.memory.execute(op, pid)
+        else:
+            response = handler(self, op, pid)
         record = StepRecord(self.time, pid, op, response)
         # Inline of ``Trace.record`` (kept in sync with it): the call
         # frame is measurable at one record per engine step.
@@ -315,12 +346,31 @@ class Simulation:
                     handler(event)
         self.time += 1
         journal = self._journal
-        if journal is None:
-            runtime.resume(response)
-        else:
+        if journal is not None:
             journal.advance(runtime, op, response)
+            if runtime.status is not _RUNNING:
+                self._eligible = None
+            return record
+        # Inline of ``ProcessRuntime.resume`` (kept in sync with it): one
+        # frame less on every step of a run without a journal.
         if runtime.status is not _RUNNING:
+            raise ProtocolError(
+                f"process {pid} resumed while {runtime.status}"
+            )
+        runtime.steps_taken += 1
+        try:
+            op = runtime._generator.send(response)
+        except StopIteration as stop:
+            runtime.status = _RETURNED
+            runtime.return_value = stop.value
+            runtime.pending_op = None
             self._eligible = None
+            return record
+        if not isinstance(op, Operation):
+            raise ProtocolError(
+                f"process {pid} yielded {op!r}, not an Operation"
+            )
+        runtime.pending_op = op
         return record
 
     def _violate(self, pid: int, reason: str) -> "ProtocolError":
@@ -348,7 +398,11 @@ class Simulation:
             )
         value = self.history.value(pid, self.time)
         bus = self.bus
-        if bus is not None and bus.active and bus.wants(FDQueried):
+        # Inline of ``EventBus.wants`` (kept in sync with it): a trial's
+        # live collector makes the bus active, and queries are frequent.
+        if bus is not None and bus.active and (
+            FDQueried in bus._dispatch or bus._catch_all
+        ):
             bus.publish(FDQueried(self.time, pid, value))
         return value
 
@@ -455,17 +509,11 @@ class Simulation:
         step = self.step
         pick_eligible = self.eligible
         choose = scheduler.choose
-        # The loop allocates only acyclic value objects (StepRecords,
-        # events, operation responses), so the cyclic collector can only
-        # ever scan them and find nothing; its periodic gen-0 passes cost
-        # a double-digit percentage of a long run.  Pause it for the loop
-        # and restore on the way out; refcounting still reclaims
-        # everything promptly, and any cyclic garbage made by subscriber
-        # callbacks is collected at the next pass after re-enabling.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # Collection passes inside the loop would scan the growing trace
+        # again and again.  Pausing defers them to one pass after the
+        # loop, or to none when the caller keeps the collector off until
+        # the trace is freed, as the trial loop does (see gc_paused).
+        with gc_paused():
             for _ in range(max_steps):
                 if stop_when is not None and stop_when(self):
                     break
@@ -480,9 +528,6 @@ class Simulation:
                 if not eligible:
                     break
                 step(choose(self.time, eligible))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self.trace
 
     def run_until(
@@ -567,8 +612,9 @@ class Simulation:
         }
 
 
+_exec_shared = Simulation._exec_shared
 Simulation._OP_HANDLERS.update(
-    {op_type: Simulation._exec_shared for op_type in SHARED_OBJECT_OPS}
+    {op_type: _exec_shared for op_type in SHARED_OBJECT_OPS}
 )
 Simulation._OP_HANDLERS.update(
     {

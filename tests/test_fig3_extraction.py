@@ -6,6 +6,7 @@ detector's history stabilizes, all correct processes must converge to the
 same set, of size at least ``n + 1 − f``, that is not the correct set.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -29,7 +30,8 @@ from repro.detectors import (
     omega_n,
 )
 from repro.failures import Environment, FailurePattern
-from repro.runtime import RandomScheduler, Simulation, System
+from repro.mc import UpsilonOutputProperty
+from repro.runtime import Emit, RandomScheduler, Simulation, System
 
 
 def run_extraction(spec, env, pattern, history, seed=0, shift=0, steps=35_000):
@@ -203,3 +205,38 @@ def test_extraction_hypothesis(n_procs, seed, detector):
     history = spec.sample_history(pattern, rng, stabilization_time=40)
     sim = run_extraction(spec, env, pattern, history, seed=seed, steps=45_000)
     assert_upsilon_f_extracted(sim, env, pattern)
+
+
+@dataclasses.dataclass(frozen=True)
+class TaggedEmit(Emit):
+    """An ``Emit`` subclass; the engine records it as an emit output."""
+
+    tag: str = "tagged"
+
+
+class TestUpsilonOutputProperty:
+    """The Υf range check sees every emit output the engine records."""
+
+    @staticmethod
+    def _emitting(op):
+        def protocol(ctx, _input):
+            yield op
+
+        sim = Simulation(System(2), protocol, inputs={})
+        sim.run(max_steps=10, scheduler=RandomScheduler(0))
+        return sim
+
+    def test_an_emit_subclass_is_checked(self):
+        sim = self._emitting(TaggedEmit(frozenset()))
+        assert [(o.kind, o.value) for o in sim.trace.outputs] == \
+            [("emit", frozenset())] * 2
+        prop = UpsilonOutputProperty(sim.system.pid_set)
+        assert prop.check_run(sim) == "emitted the empty set"
+        assert prop.on_step(sim, sim.trace.steps[0]) == \
+            "emitted the empty set"
+
+    def test_a_legal_output_passes(self):
+        sim = self._emitting(TaggedEmit(frozenset({0, 1})))
+        prop = UpsilonOutputProperty(sim.system.pid_set, min_size=2)
+        assert prop.check_run(sim) is None
+        assert prop.on_step(sim, sim.trace.steps[0]) is None

@@ -5,9 +5,11 @@ for what a run did — the collector counts the engine's steps from it, and
 the bus is a live view of the same run for whoever streams it.
 """
 
+import gc
 import io
 import json
 import random
+import weakref
 
 import pytest
 
@@ -36,12 +38,14 @@ from repro.obs.events import (
 )
 from repro.obs.export import event_to_dict, load_events
 from repro.perf import (
+    ConvergeTrialSpec,
     ExtractionTrialSpec,
     SetAgreementTrialSpec,
     execute_trial,
 )
 from repro.core import make_upsilon_set_agreement
 from repro.runtime.ops import SHARED_OBJECT_OPS
+from repro.runtime.simulation import gc_paused
 from repro.runtime import (
     Decide,
     Emit,
@@ -234,6 +238,27 @@ class TestCollectorAgainstTrace:
         text = collector.render()
         assert "steps_total" in text
         assert "fd_queries" in text
+
+
+class TestCollectorLifetime:
+    """A trial's collector is freed by reference counting, so a trial
+    run with the cyclic collector paused leaves no garbage behind."""
+
+    @pytest.mark.parametrize("spec", [
+        SetAgreementTrialSpec(3, 2, seed=0, stabilization_time=0),
+        ExtractionTrialSpec("omega", 3, seed=0, max_steps=2_000),
+        ConvergeTrialSpec(3, 0),
+    ], ids=lambda spec: spec.kind)
+    def test_a_dropped_collector_is_freed_while_paused(self, spec):
+        execute_trial(spec)  # first-use imports and caches
+        with gc_paused():
+            gc.collect()
+            collector = MetricsCollector()
+            execute_trial(spec, collector=collector)
+            dropped = weakref.ref(collector)
+            del collector
+            assert dropped() is None
+            assert gc.collect() == 0
 
 
 class TestPerStepEventGate:

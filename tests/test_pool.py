@@ -9,6 +9,7 @@ in place instead of tearing down the pool.
 """
 
 import dataclasses
+import gc
 import pickle
 import shutil
 import signal
@@ -23,12 +24,16 @@ from repro.chaos import ChaosConfig
 from repro.obs import MetricsCollector, TrialCompleted
 from repro.perf import (
     DispatchStats,
+    ExtractionTrialSpec,
     QuarantineReport,
     SabotagedSpec,
     SetAgreementTrialSpec,
     TrialCache,
+    TrialFailure,
     WorkerCrashError,
     WorkerPool,
+    execute_trial,
+    guarded_execute,
     reset_shared_pool,
     run_trials,
     shared_pool,
@@ -36,6 +41,7 @@ from repro.perf import (
 )
 from repro.perf.executor import _chunk_indices, _fold_reply
 from repro.perf.pool import PoolTask, _execute_batch, _task_cache
+from repro.runtime import Decide, Nop, ProtocolError, Simulation, System
 from tests.helpers import cache_row, write_cache_row
 
 SPECS = [
@@ -401,6 +407,94 @@ class TestQueueWaitSemantics:
         assert reply.error is None
         serial = run_trials(SPECS[4:6], jobs=1)
         assert [outcome for outcome, _ in reply.items] == serial
+
+
+def _decides_twice(spec, collector=None):
+    """A trial whose run raises ProtocolError (a second Decide)."""
+
+    def protocol(ctx, value):
+        yield Decide(value)
+        yield Decide(value)
+
+    Simulation(System(2), protocol, inputs={0: 0, 1: 1}).run(max_steps=10)
+
+
+def _runs_forever(spec, collector=None):
+    """A trial that only the watchdog stops."""
+
+    def protocol(ctx, value):
+        while True:
+            yield Nop()
+
+    Simulation(System(2), protocol).run(max_steps=10**12)
+
+
+class TestCollectorPause:
+    """A trial runs with the cyclic collector paused, and leaves it in
+    the state its caller had: on or off, after a trial that returns,
+    raises or is stopped by the watchdog."""
+
+    @pytest.fixture(params=[True, False],
+                    ids=["collector-on", "collector-off"])
+    def collector_on(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def _task(capture: bool, timeout=None) -> PoolTask:
+        return PoolTask(task_id=0, indices=(0,), specs=(SPECS[0],),
+                        capture=capture, timeout=timeout)
+
+    def test_a_trial_that_returns(self, collector_on):
+        seen = []
+
+        def execute(spec, collector=None):
+            seen.append(gc.isenabled())
+            return execute_trial(spec, collector=collector)
+
+        reply = _execute_batch(self._task(False), execute=execute)
+        assert reply.error is None and seen == [False]
+        assert gc.isenabled() is collector_on
+        run_trials(SPECS[:2], jobs=1)
+        assert gc.isenabled() is collector_on
+
+    @pytest.mark.parametrize("capture", [False, True],
+                             ids=["plain", "capture"])
+    def test_a_trial_that_raises_a_protocol_error(self, collector_on,
+                                                  capture):
+        seen = []
+
+        def execute(spec, collector=None):
+            seen.append(gc.isenabled())
+            _decides_twice(spec, collector)
+
+        reply = _execute_batch(self._task(capture), execute=execute)
+        if capture:
+            ((outcome, _),) = reply.items
+            assert outcome.kind == "error"
+            assert "ProtocolError" in outcome.detail
+        else:
+            assert isinstance(reply.error, ProtocolError)
+        assert seen == [False]
+        assert gc.isenabled() is collector_on
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                        reason="needs SIGALRM")
+    def test_a_trial_the_watchdog_stops(self, collector_on):
+        reply = _execute_batch(self._task(True, timeout=0.2),
+                               execute=_runs_forever)
+        ((outcome, _),) = reply.items
+        assert isinstance(outcome, TrialFailure)
+        assert outcome.kind == "timeout"
+        assert gc.isenabled() is collector_on
+        # guarded_execute's own watchdog stops a run inside Simulation.run,
+        # whose pause is then the outermost one.
+        outcome = guarded_execute(
+            ExtractionTrialSpec("omega", 3, 0, max_steps=10**9), timeout=0.2)
+        assert outcome.kind == "timeout"
+        assert gc.isenabled() is collector_on
 
 
 class TestWorkerRecycling:

@@ -1,5 +1,6 @@
 """Unit tests for schedulers and script builders."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -53,6 +54,22 @@ class TestRandom:
     def test_empty_eligible(self):
         with pytest.raises(SchedulerError):
             RandomScheduler().choose(0, [])
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_picks_what_random_choice_picks(self, length):
+        # Every seeded schedule rests on this: ``choose`` consumes the
+        # generator exactly as ``Random.choice`` does.
+        eligible = list(range(10, 10 + length))
+        for seed in range(50):
+            scheduler, rng = RandomScheduler(seed), random.Random(seed)
+            picks = [scheduler.choose(t, eligible) for t in range(20)]
+            assert picks == [rng.choice(eligible) for _ in range(20)]
+
+    def test_stream_stays_aligned_across_lengths(self):
+        scheduler, rng = RandomScheduler(7), random.Random(7)
+        for t in range(600):
+            eligible = list(range(t % 6 + 1))
+            assert scheduler.choose(t, eligible) == rng.choice(eligible)
 
 
 class TestWeighted:
