@@ -4,8 +4,10 @@ Each ``run_*_trial`` function executes one seeded run and returns a flat
 result dataclass; the benchmark harness and EXPERIMENTS.md generator sweep
 them over seeds and parameters.  There is one driver per protocol — Fig.
 1/2 set agreement, Fig. 3 extraction, and k-converge over ABD registers —
-and every verdict goes through the :mod:`repro.mc.properties` adapters
-plus an explicit termination check.
+and every decision verdict is the task spec's
+(:class:`~repro.tasks.SetAgreementSpec`,
+:class:`~repro.tasks.ConvergeSpec`) properties judged by
+:func:`~repro.tasks.decision_verdict`.
 
 Chaos is a parameter of the same drivers.  The paper's detectors are
 *eventual* (Sect. 3.2) and run requirement 5 constrains only the limit of
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..core.converge import make_abd_converge_protocol
 from ..core.extraction import make_extraction_protocol, stable_emulated_output
 from ..core.f_resilient import make_upsilon_f_set_agreement
 from ..core.samples import PhiMap, ShiftedPhiMap
@@ -32,18 +35,12 @@ from ..detectors.omega_k import omega_n
 from ..detectors.upsilon import UpsilonFSpec, UpsilonSpec
 from ..failures.environment import Environment
 from ..failures.pattern import FailurePattern
-from ..mc.properties import (
-    AgreementProperty,
-    ConvergeAgreementProperty,
-    ConvergeValidityProperty,
-    PropertyAdapter,
-    UpsilonOutputProperty,
-    ValidityProperty,
-)
 from ..obs.metrics import MetricsCollector
 from ..runtime.process import System
 from ..runtime.scheduler import RandomScheduler, RoundRobinScheduler, Scheduler
 from ..runtime.simulation import Simulation
+from ..tasks import ConvergeSpec, SetAgreementSpec, TaskSpec, decision_verdict
+from ..tasks.properties import UpsilonOutputProperty
 
 if TYPE_CHECKING:
     from ..chaos.config import ChaosConfig
@@ -106,23 +103,16 @@ def _lying(
     return chaotic_history(spec, pattern, chaos, history)
 
 
-def _decision_verdict(
-    sim: Simulation, adapters: Sequence[PropertyAdapter]
+def _trial_violations(
+    sim: Simulation, task: TaskSpec, inputs: Dict[int, Any]
 ) -> List[str]:
-    """Safety through ``adapters``, then termination checked explicitly:
-    the adapters' termination property is vacuous on a run that stopped
-    at its step budget, and a stalled run is exactly what must not pass."""
-    violations = [
-        f"{adapter.name}: {reason}"
-        for adapter in adapters
-        if (reason := adapter.check_run(sim))
+    """``"<property>: <reason>"`` for every property of ``task`` the
+    finished trial breaks; a run stalled at its step budget breaks
+    Termination."""
+    return [
+        f"{prop.name}: {reason}"
+        for prop, reason in decision_verdict(sim, task.properties(inputs))
     ]
-    if not sim.all_correct_decided():
-        violations.append(
-            f"termination: correct processes undecided after "
-            f"{sim.time} steps"
-        )
-    return violations
 
 
 @dataclasses.dataclass
@@ -230,9 +220,7 @@ def run_set_agreement_trial(
         stop_when=Simulation.all_correct_decided,
     )
     collector.record_run(sim)
-    violations = _decision_verdict(
-        sim, (AgreementProperty(f), ValidityProperty(inputs))
-    )
+    violations = _trial_violations(sim, SetAgreementSpec(f), inputs)
     times = sim.trace.decision_times()
     return SetAgreementResult(
         n_processes=system.n_processes,
@@ -380,10 +368,7 @@ def run_converge_trial(
     ``k`` distinct values, so every process commits.  ``chaos`` wraps the
     scheduler and swaps the reliable network for a
     :class:`~repro.chaos.network.FaultyNetwork`."""
-    from ..core.converge import ConvergeInstance
-    from ..messaging.abd import AbdRegisters, abd_snapshot_api
     from ..messaging.network import Network
-    from ..runtime.ops import Decide
 
     n_procs = system.n_processes
     majority_safe = (n_procs - 1) // 2
@@ -396,19 +381,7 @@ def run_converge_trial(
         pattern = FailurePattern.failure_free(system)
     k = max(1, f)
     inputs = {p: f"v{p % k}" for p in system.pids}
-
-    def protocol(ctx, value):
-        abd = AbdRegisters(ctx, quorum=quorum)
-        instance = ConvergeInstance(
-            ("abd", "conv"), k, n_procs,
-            snapshot_factory=lambda name, cells: abd_snapshot_api(
-                abd, name, cells
-            ),
-        )
-        picked, committed = yield from instance.converge(ctx, value)
-        yield Decide((picked, committed))
-        yield from abd.serve()
-
+    protocol = make_abd_converge_protocol(("abd", "conv"), k, n_procs, quorum)
     if chaos is None:
         network = Network(system, seed=seed + 101, max_delay=3)
     else:
@@ -431,9 +404,7 @@ def run_converge_trial(
         stop_when=Simulation.all_correct_decided,
     )
     collector.record_run(sim)
-    violations = _decision_verdict(
-        sim, (ConvergeAgreementProperty(k), ConvergeValidityProperty(inputs))
-    )
+    violations = _trial_violations(sim, ConvergeSpec(k), inputs)
     times = sim.trace.decision_times()
     return ConvergeResult(
         n_processes=n_procs,

@@ -106,8 +106,9 @@ def run_campaign(
 
     Each trial draws a configuration from the campaign RNG, samples a
     legal detector history, runs to the step budget, and checks the task
-    spec.  Budget exhaustion without termination counts as a failure
-    (liveness), as do property violations and protocol exceptions.
+    spec.  A Termination breach (the budget ran out first) is reported
+    as ``"no-termination"``, any other breach as ``"violation"``, and a
+    protocol exception as ``"exception"``.
     """
     campaign_rng = random.Random(seed)
     failures: List[CampaignFailure] = []
@@ -143,13 +144,12 @@ def run_campaign(
         except Exception as exc:  # protocol bug surfaced as an exception
             failures.append(CampaignFailure(config, "exception", repr(exc)))
             continue
-        if not sim.all_correct_decided():
+        verdict = task_factory(system, f).check(sim, inputs)
+        if any(v.prop == "Termination" for v in verdict.violations):
             failures.append(CampaignFailure(
                 config, "no-termination",
                 f"budget {max_steps} exhausted at t={sim.time}"))
-            continue
-        verdict = task_factory(system, f).check(sim, inputs)
-        if not verdict.ok:
+        elif not verdict.ok:
             failures.append(CampaignFailure(
                 config, "violation",
                 "; ".join(str(v) for v in verdict.violations)))

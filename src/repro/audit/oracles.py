@@ -286,22 +286,14 @@ def _converge_contract(
 
     Only the :data:`_CONTRACT_INVARIANTS` keys of the returned dict are
     cross-substrate comparable; the rest are per-run diagnostics."""
-    from ..mc.properties import (
-        ConvergeAgreementProperty,
-        ConvergeValidityProperty,
-    )
+    from ..tasks import ConvergeSpec, decision_verdict
+    from ..tasks.properties import TerminationProperty
 
-    violations: List[str] = []
-    for adapter in (
-        ConvergeAgreementProperty(k),
-        ConvergeValidityProperty(inputs),
-    ):
-        reason = adapter.check_run(sim)
-        if reason:
-            violations.append(f"{adapter.name}: {reason}")
-    decided = sim.all_correct_decided()
-    if not decided:
-        violations.append(f"termination: undecided after {sim.time} steps")
+    breaches = decision_verdict(sim, ConvergeSpec(k).properties(inputs))
+    violations = [f"{prop.name}: {reason}" for prop, reason in breaches]
+    decided = not any(
+        isinstance(prop, TerminationProperty) for prop, _ in breaches
+    )
     decisions = sim.decisions()
     picked = sorted({repr(v[0]) for v in decisions.values()})
     committed = sorted({bool(v[1]) for v in decisions.values()})
@@ -314,64 +306,39 @@ def _converge_contract(
     return contract, violations
 
 
-def _run_converge_shared(n: int, k: int, inputs, pattern, seed: int):
-    from ..core.converge import ConvergeInstance
-    from ..runtime.ops import Decide
-    from ..runtime.process import System
-    from ..runtime.scheduler import RandomScheduler
-    from ..runtime.simulation import Simulation
-
-    system = System(n)
-
-    def protocol(ctx, value):
-        instance = ConvergeInstance(("audit", "conv"), k, n)
-        picked, committed = yield from instance.converge(ctx, value)
-        yield Decide((picked, committed))
-
-    sim = Simulation(system, protocol, inputs=inputs, pattern=pattern)
-    sim.run(
-        max_steps=200_000,
-        scheduler=RandomScheduler(seed),
-        stop_when=Simulation.all_correct_decided,
-    )
-    return sim
-
-
-def _run_converge_abd(
-    n: int, k: int, quorum: int, inputs, pattern, seed: int,
-    corrupt_ack: bool = False,
+def _run_converge(
+    n: int, k: int, inputs, pattern, seed: int,
+    quorum: Optional[int] = None, corrupt_ack: bool = False,
 ):
-    from ..core.converge import ConvergeInstance
-    from ..messaging.abd import AbdRegisters, abd_snapshot_api
+    """One k-converge run on instance ``("audit", "conv")``: over atomic
+    shared memory, or — given a ``quorum`` — over ABD-emulated registers
+    on a seeded network (``corrupt_ack``: the sabotaged one)."""
+    from ..core.converge import (
+        make_abd_converge_protocol,
+        make_converge_protocol,
+    )
     from ..messaging.network import Network
-    from ..runtime.ops import Decide
     from ..runtime.process import System
     from ..runtime.scheduler import RandomScheduler
     from ..runtime.simulation import Simulation
 
     system = System(n)
-    network_cls = Network
-    if corrupt_ack:
-        network_cls = _AckCorruptingNetwork.build(Network)
-    network = network_cls(system, seed=seed + 101, max_delay=3)
-
-    def protocol(ctx, value):
-        abd = AbdRegisters(ctx, quorum=quorum)
-        instance = ConvergeInstance(
-            ("audit", "conv"), k, n,
-            snapshot_factory=lambda name, cells: abd_snapshot_api(
-                abd, name, cells
-            ),
-        )
-        picked, committed = yield from instance.converge(ctx, value)
-        yield Decide((picked, committed))
-        yield from abd.serve()
-
+    network = None
+    if quorum is None:
+        protocol = make_converge_protocol(("audit", "conv"), k, n)
+        max_steps = 200_000
+    else:
+        protocol = make_abd_converge_protocol(("audit", "conv"), k, n, quorum)
+        network_cls = Network
+        if corrupt_ack:
+            network_cls = _AckCorruptingNetwork.build(Network)
+        network = network_cls(system, seed=seed + 101, max_delay=3)
+        max_steps = 400_000
     sim = Simulation(
         system, protocol, inputs=inputs, pattern=pattern, network=network
     )
     sim.run(
-        max_steps=400_000,
+        max_steps=max_steps,
         scheduler=RandomScheduler(seed),
         stop_when=Simulation.all_correct_decided,
     )
@@ -397,9 +364,9 @@ def _substrate(case: int, seed: int, sabotage: str) -> CaseOutcome:
     else:
         pattern = FailurePattern.failure_free(System(n))
 
-    shared = _run_converge_shared(n, k, inputs, pattern, run_seed)
-    abd = _run_converge_abd(
-        n, k, quorum, inputs, pattern, run_seed,
+    shared = _run_converge(n, k, inputs, pattern, run_seed)
+    abd = _run_converge(
+        n, k, inputs, pattern, run_seed, quorum=quorum,
         corrupt_ack=(sabotage == "abd-ack"),
     )
     shared_contract, shared_violations = _converge_contract(
@@ -442,8 +409,8 @@ def _substrate(case: int, seed: int, sabotage: str) -> CaseOutcome:
         )
 
     # Second comparison: the ABD path must be deterministic in its seed.
-    abd_again = _run_converge_abd(
-        n, k, quorum, inputs, pattern, run_seed,
+    abd_again = _run_converge(
+        n, k, inputs, pattern, run_seed, quorum=quorum,
         corrupt_ack=(sabotage == "abd-ack"),
     )
     if (

@@ -247,6 +247,13 @@ def _build_parser() -> argparse.ArgumentParser:
                  "--resume (the store already checkpoints per trial)",
         )
         _add_resilience_flags(sub_parser)
+        sub_parser.add_argument(
+            "--resume", metavar="JOURNAL", default=None,
+            help="JSONL checkpoint journal: finished and quarantined spec "
+                 "keys are appended as the run progresses.  The trial "
+                 "cache is what skips finished trials on a re-run, so "
+                 "--resume needs the cache (not --no-cache)",
+        )
 
     submit = sub.add_parser(
         "submit",
@@ -426,7 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=None,
                           help="write the first counterexample to FILE "
                                "as JSON")
-    _add_resilience_flags(mc_check)
+    _add_resilience_flags(mc_check, unit="shard",
+                          note="; needs --jobs 2 or more")
 
     audit = sub.add_parser(
         "audit",
@@ -529,21 +537,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_resilience_flags(sub_parser) -> None:
+def _add_resilience_flags(sub_parser, unit: str = "trial",
+                          note: str = "") -> None:
     sub_parser.add_argument(
         "--retries", type=int, default=0,
-        help="re-run a failing/crashing trial up to N extra times "
-             "before quarantining it (default 0)",
+        help=f"re-run a failing/crashing {unit} up to N extra times "
+             f"before quarantining it (default 0){note}",
     )
     sub_parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial wall-clock budget, enforced by an in-worker "
-             "watchdog",
-    )
-    sub_parser.add_argument(
-        "--resume", metavar="JOURNAL", default=None,
-        help="JSONL checkpoint journal; completed spec keys are "
-             "skipped on re-run and appended as the run progresses",
+        help=f"per-{unit} wall-clock budget, enforced by an in-worker "
+             f"watchdog{note}",
     )
 
 
@@ -1012,6 +1016,11 @@ def _cmd_sweep(args) -> int:
               "resumes automatically.", file=sys.stderr)
         return 2
 
+    if args.resume and args.no_cache:
+        print("error: --resume needs the trial cache, which is what skips "
+              "finished trials on a re-run", file=sys.stderr)
+        return 2
+
     from .obs import JsonlEventSink, MetricsCollector
 
     resilient = bool(
@@ -1157,7 +1166,11 @@ def _cmd_check(args) -> int:
         )
     from .perf import QuarantineReport
 
-    resilient = bool(args.retries or args.trial_timeout or args.resume)
+    resilient = bool(args.retries or args.trial_timeout)
+    if resilient and not args.jobs > 1:
+        print("error: --retries and --trial-timeout guard the shards of a "
+              "parallel check; pass --jobs 2 or more", file=sys.stderr)
+        return 2
     quarantine = QuarantineReport() if resilient else None
     import time as time_module
 
@@ -1166,7 +1179,7 @@ def _cmd_check(args) -> int:
         instance, config, sweep=sweep, jobs=args.jobs,
         batch_size=args.batch_size,
         retries=args.retries, trial_timeout=args.trial_timeout,
-        journal=args.resume, quarantine=quarantine,
+        quarantine=quarantine,
     )
     wall = time_module.perf_counter() - start
     if args.save_counterexample and report.counterexamples:

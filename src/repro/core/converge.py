@@ -61,7 +61,9 @@ from __future__ import annotations
 from typing import Any, Hashable, Tuple
 
 from ..memory.snapshot import SnapshotAPI, make_snapshot_api, nonbot_values
-from ..runtime.process import ProcessContext
+from ..messaging.abd import AbdRegisters, abd_snapshot_api
+from ..runtime.ops import Decide
+from ..runtime.process import ProcessContext, Protocol
 
 
 class ConvergeInstance:
@@ -147,3 +149,38 @@ def k_converge(
     )
     result = yield from instance.converge(ctx, value)
     return result
+
+
+def make_converge_protocol(
+    key: Hashable, k: int, n_cells: int, instance_cls=ConvergeInstance
+) -> Protocol:
+    """One ``instance_cls`` k-converge on instance ``key``, then Decide
+    the ``(picked, committed)`` pair (:class:`~repro.tasks.ConvergeSpec`)."""
+
+    def protocol(ctx, value):
+        instance = instance_cls(key, k, n_cells)
+        result = yield from instance.converge(ctx, value)
+        yield Decide(result)
+
+    return protocol
+
+
+def make_abd_converge_protocol(
+    key: Hashable, k: int, n_cells: int, quorum: int
+) -> Protocol:
+    """:func:`make_converge_protocol` over ABD-emulated registers (E13);
+    a process that decided keeps serving the others' quorums."""
+
+    def protocol(ctx, value):
+        abd = AbdRegisters(ctx, quorum=quorum)
+        instance = ConvergeInstance(
+            key, k, n_cells,
+            snapshot_factory=lambda name, cells: abd_snapshot_api(
+                abd, name, cells
+            ),
+        )
+        result = yield from instance.converge(ctx, value)
+        yield Decide(result)
+        yield from abd.serve()
+
+    return protocol

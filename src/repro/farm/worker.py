@@ -165,10 +165,9 @@ class FarmWorker:
         max_idle: Optional[float] = None,
         pool: Optional[WorkerPool] = None,
         crash_after: Optional[int] = None,
-        store_retry: bool = True,
     ):
         self.worker_id = worker_id or default_worker_id()
-        if store_retry and not isinstance(store, RetryingStore):
+        if not isinstance(store, RetryingStore):
             # Transient 'database is locked' faults get bounded, jittered
             # retries instead of crashing the drain loop.  Seeded by the
             # worker id: deterministic per worker, decorrelated across

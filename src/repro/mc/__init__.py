@@ -8,9 +8,9 @@ subset, and crash time of a small instance, with
   converging branches share subtrees,
 * sleep-set partial-order reduction (:mod:`repro.mc.reduction`) with a
   stats record proving the reduction ratio,
-* property adapters (:mod:`repro.mc.properties`) for agreement /
-  validity / termination, the C-properties of k-converge, and the Υf
-  output-range condition,
+* the property adapters of :mod:`repro.tasks.properties` (re-exported
+  here) for agreement / validity / termination, the C-properties of
+  k-converge, and the Υf output-range condition,
 * replayable, shrinkable, JSON round-tripping counterexamples
   (:mod:`repro.mc.counterexample`), and
 * a perf-pool parallel mode (:mod:`repro.mc.parallel`).
@@ -57,7 +57,7 @@ from .parallel import (
     make_shard_spec,
     shard_prefixes,
 )
-from .properties import (
+from ..tasks.properties import (
     AgreementProperty,
     CallbackProperty,
     ConvergeAgreementProperty,

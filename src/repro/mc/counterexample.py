@@ -22,7 +22,7 @@ comparison.  The bundle:
 
 Violation kinds:
 
-* ``"property"`` — a :mod:`repro.mc.properties` adapter reported a
+* ``"property"`` — a :mod:`repro.tasks.properties` adapter reported a
   reason; ``step`` is the schedule position after which it fired.
 * ``"error"`` — stepping the final pid raised
   :class:`~repro.runtime.errors.ReproError` (e.g. the engine's

@@ -15,7 +15,7 @@ re-execution of every schedule from scratch:
 * **Sleep-set partial-order reduction**
   (:mod:`repro.mc.reduction`) in time-insensitive states.
 
-Properties are observed through :mod:`repro.mc.properties` hooks.  A
+Properties are observed through :mod:`repro.tasks.properties` hooks.  A
 depth-bounded exploration of a non-terminating protocol is a *bounded
 horizon* check: branches cut at the bound are counted in
 ``stats.depth_exhausted`` and are violations only when the configuration
@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..obs.metrics import MetricsRegistry
 from ..runtime.errors import ReproError
 from ..runtime.simulation import Simulation
+from ..tasks.properties import PropertyAdapter
 from .checkpoint import SimulationJournal
 from .counterexample import Counterexample
 from .fingerprint import FingerprintError, fingerprint
@@ -49,7 +50,6 @@ from .instances import (
     resolve_instance,
     sweep_instances,
 )
-from .properties import PropertyAdapter
 from .reduction import ReductionStats, SleepSetReducer
 
 
@@ -200,7 +200,7 @@ class Explorer:
         Zero-argument factory; must build behaviourally identical
         simulations on every call (the replay soundness requirement).
     properties:
-        :class:`~repro.mc.properties.PropertyAdapter` observers.
+        :class:`~repro.tasks.properties.PropertyAdapter` observers.
     config:
         Exploration bounds.
     prefix:
@@ -599,7 +599,6 @@ def check(
     batch_size: Optional[int] = None,
     retries: int = 0,
     trial_timeout: Optional[float] = None,
-    journal=None,
     quarantine=None,
     collector=None,
 ) -> CheckReport:
@@ -610,9 +609,9 @@ def check(
     full.  With ``jobs > 1`` the work is fanned out over
     :func:`repro.perf.run_trials` workers (sharding the root branching
     factor when there is only one instance to check); the resilience
-    knobs (``retries``, ``trial_timeout``, ``journal``, ``quarantine``)
-    apply only on that fan-out path and degrade a quarantined shard or
-    swept instance to a truncated/omitted result instead of aborting.
+    knobs (``retries``, ``trial_timeout``, ``quarantine``) apply only on
+    that fan-out path and degrade a quarantined shard or swept instance
+    to a truncated/omitted result instead of aborting.
     """
     config = config if config is not None else ExploreConfig()
     instances = (
@@ -626,7 +625,7 @@ def check(
             instances, config, jobs=jobs, cache=cache,
             batch_size=batch_size,
             retries=retries, trial_timeout=trial_timeout,
-            journal=journal, quarantine=quarantine, collector=collector,
+            quarantine=quarantine, collector=collector,
         )
         elapsed = _time.perf_counter() - started
         results = [r for r in results if r is not None]

@@ -42,7 +42,7 @@ from ..core.ablations import (
     make_gladiators_only_set_agreement,
     make_no_stability_flag_set_agreement,
 )
-from ..core.converge import ConvergeInstance
+from ..core.converge import ConvergeInstance, make_converge_protocol
 from ..core.extraction import make_extraction_protocol
 from ..core.f_resilient import make_upsilon_f_set_agreement
 from ..core.samples import PhiMap
@@ -53,18 +53,10 @@ from ..detectors.upsilon import UpsilonFSpec, UpsilonSpec
 from ..failures.environment import Environment
 from ..failures.pattern import FailurePattern
 from ..runtime.errors import HistoryError
-from ..runtime.ops import Decide
 from ..runtime.process import System
 from ..runtime.simulation import Simulation
-from .properties import (
-    AgreementProperty,
-    ConvergeAgreementProperty,
-    ConvergeValidityProperty,
-    PropertyAdapter,
-    TerminationProperty,
-    UpsilonOutputProperty,
-    ValidityProperty,
-)
+from ..tasks import ConvergeSpec, SetAgreementSpec
+from ..tasks.properties import PropertyAdapter, UpsilonOutputProperty
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,7 +133,6 @@ _PropertyBuilder = Callable[
 class ProtocolFamily:
     name: str
     detector: Optional[str]  # "upsilon" | "upsilon_f" | "omega" | None
-    terminating: bool
     build_protocol: _ProtocolBuilder
     build_properties: _PropertyBuilder
     has_inputs: bool = True
@@ -151,39 +142,22 @@ def _value_inputs(system: System) -> Dict[int, str]:
     return {pid: f"v{pid}" for pid in system.pids}
 
 
-def _set_agreement_props(k: int, inputs) -> List[PropertyAdapter]:
-    return [
-        AgreementProperty(k),
-        ValidityProperty(inputs),
-        TerminationProperty(),
-    ]
-
-
 def _converge_k(instance: McInstance, system: System) -> int:
     return system.n if instance.f is None else instance.f
 
 
-def _converge_protocol(factory):
+def _converge_protocol(instance_cls):
     def build(instance, system, env):
-        k = _converge_k(instance, system)
-
-        def protocol(ctx, value):
-            converge = factory(("mc", "conv"), k, system.n_processes)
-            result = yield from converge.converge(ctx, value)
-            yield Decide(result)
-
-        return protocol
+        return make_converge_protocol(
+            ("mc", "conv"), _converge_k(instance, system),
+            system.n_processes, instance_cls,
+        )
 
     return build
 
 
 def _converge_props(instance, system, env, inputs):
-    k = _converge_k(instance, system)
-    return [
-        ConvergeAgreementProperty(k),
-        ConvergeValidityProperty(inputs),
-        TerminationProperty(),
-    ]
+    return ConvergeSpec(_converge_k(instance, system)).properties(inputs)
 
 
 def _extraction_protocol(instance, system, env):
@@ -194,21 +168,22 @@ FAMILIES: Dict[str, ProtocolFamily] = {
     "fig1": ProtocolFamily(
         "fig1",
         detector="upsilon",
-        terminating=True,
         build_protocol=lambda i, s, e: make_upsilon_set_agreement(),
-        build_properties=lambda i, s, e, inp: _set_agreement_props(s.n, inp),
+        build_properties=lambda i, s, e, inp: (
+            SetAgreementSpec(s.n).properties(inp)
+        ),
     ),
     "fig2": ProtocolFamily(
         "fig2",
         detector="upsilon_f",
-        terminating=True,
         build_protocol=lambda i, s, e: make_upsilon_f_set_agreement(e.f),
-        build_properties=lambda i, s, e, inp: _set_agreement_props(e.f, inp),
+        build_properties=lambda i, s, e, inp: (
+            SetAgreementSpec(e.f).properties(inp)
+        ),
     ),
     "extraction": ProtocolFamily(
         "extraction",
         detector="omega",
-        terminating=False,
         build_protocol=_extraction_protocol,
         build_properties=lambda i, s, e, inp: [
             UpsilonOutputProperty(s.pid_set, e.min_correct)
@@ -218,30 +193,30 @@ FAMILIES: Dict[str, ProtocolFamily] = {
     "converge": ProtocolFamily(
         "converge",
         detector=None,
-        terminating=True,
         build_protocol=_converge_protocol(ConvergeInstance),
         build_properties=_converge_props,
     ),
     "naive-converge": ProtocolFamily(
         "naive-converge",
         detector=None,
-        terminating=True,
         build_protocol=_converge_protocol(NaiveConvergeInstance),
         build_properties=_converge_props,
     ),
     "gladiators-only": ProtocolFamily(
         "gladiators-only",
         detector="upsilon",
-        terminating=True,
         build_protocol=lambda i, s, e: make_gladiators_only_set_agreement(),
-        build_properties=lambda i, s, e, inp: _set_agreement_props(s.n, inp),
+        build_properties=lambda i, s, e, inp: (
+            SetAgreementSpec(s.n).properties(inp)
+        ),
     ),
     "no-stability-flag": ProtocolFamily(
         "no-stability-flag",
         detector="upsilon",
-        terminating=True,
         build_protocol=lambda i, s, e: make_no_stability_flag_set_agreement(),
-        build_properties=lambda i, s, e, inp: _set_agreement_props(s.n, inp),
+        build_properties=lambda i, s, e, inp: (
+            SetAgreementSpec(s.n).properties(inp)
+        ),
     ),
 }
 

@@ -159,38 +159,36 @@ def merge_shard_results(
 class ParallelExplorer:
     """Shard one instance's root branching across perf workers.
 
+    Shards are the length-1 schedule prefixes, so there are at most
+    ``n + 1`` of them.
+
     Parameters
     ----------
     jobs:
         Worker process count (``None`` lets ``run_trials`` pick).
-    shard_depth:
-        Prefix length to shard on; depth 1 gives at most ``n`` shards,
-        depth 2 up to ``n²`` — raise it when cores outnumber processes.
     cache:
         Optional :class:`~repro.perf.cache.TrialCache`; shards of an
         unchanged instance/config are content-addressed hits.
     batch_size:
         Shards per dispatched batch (``run_trials``'s ``chunk_size``);
         ``None`` means ~2 batches per worker.
-    retries / trial_timeout / journal / quarantine:
+    retries / trial_timeout / quarantine:
         Resilience knobs, forwarded verbatim to
         :func:`~repro.perf.executor.run_trials`.  A shard that exhausts
         its retries is quarantined and its subtree marks the merged
         stats truncated instead of aborting the exploration.
     """
 
-    def __init__(self, jobs: Optional[int] = None, shard_depth: int = 1,
-                 cache=None, *, batch_size: Optional[int] = None,
+    def __init__(self, jobs: Optional[int] = None, cache=None, *,
+                 batch_size: Optional[int] = None,
                  retries: int = 0,
                  trial_timeout: Optional[float] = None,
-                 journal=None, quarantine=None, collector=None):
+                 quarantine=None, collector=None):
         self.jobs = jobs
-        self.shard_depth = shard_depth
         self.cache = cache
         self.batch_size = batch_size
         self.retries = retries
         self.trial_timeout = trial_timeout
-        self.journal = journal
         self.quarantine = quarantine
         self.collector = collector
 
@@ -204,7 +202,7 @@ class ParallelExplorer:
         config = config if config is not None else ExploreConfig()
         instance = resolve_instance(instance)
         started = time.perf_counter()
-        prefixes = shard_prefixes(instance, config, self.shard_depth)
+        prefixes = shard_prefixes(instance, config)
         specs = [
             make_shard_spec(instance, config, prefix) for prefix in prefixes
         ]
@@ -212,8 +210,7 @@ class ParallelExplorer:
             specs, jobs=self.jobs, cache=self.cache,
             chunk_size=self.batch_size,
             retries=self.retries, trial_timeout=self.trial_timeout,
-            journal=self.journal, quarantine=self.quarantine,
-            collector=self.collector,
+            quarantine=self.quarantine, collector=self.collector,
         )
         merged = merge_shard_results(instance, config, results)
         # Measured elapsed of the whole fan-out (sharding + dispatch +
@@ -231,7 +228,6 @@ def run_check_shards(
     batch_size: Optional[int] = None,
     retries: int = 0,
     trial_timeout: Optional[float] = None,
-    journal=None,
     quarantine=None,
     collector=None,
 ) -> List[Optional[CheckResult]]:
@@ -245,8 +241,8 @@ def run_check_shards(
     if len(instances) == 1:
         explorer = ParallelExplorer(
             jobs=jobs, cache=cache, batch_size=batch_size, retries=retries,
-            trial_timeout=trial_timeout, journal=journal,
-            quarantine=quarantine, collector=collector,
+            trial_timeout=trial_timeout, quarantine=quarantine,
+            collector=collector,
         )
         return [explorer.explore(instances[0], config)]
     from ..perf.executor import run_trials
@@ -254,7 +250,6 @@ def run_check_shards(
     specs = [make_shard_spec(instance, config) for instance in instances]
     return run_trials(
         specs, jobs=jobs, cache=cache, chunk_size=batch_size,
-        retries=retries,
-        trial_timeout=trial_timeout, journal=journal, quarantine=quarantine,
-        collector=collector,
+        retries=retries, trial_timeout=trial_timeout,
+        quarantine=quarantine, collector=collector,
     )

@@ -92,25 +92,18 @@ class CampaignLedger:
     # -- appends -------------------------------------------------------------
 
     def append(self, record: CampaignRecord) -> None:
+        from ..perf.resilience import ends_torn
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
         line = json.dumps(
             record.to_dict(), sort_keys=True, separators=(",", ":")
         )
-        # A writer killed mid-append leaves a torn tail with no trailing
-        # newline; gluing the next record onto it would corrupt BOTH
-        # lines.  Seed a newline first so the torn fragment is skipped
+        # Seed a newline after a torn tail, so the fragment is skipped
         # as exactly one malformed line and the new record survives.
-        needs_newline = False
-        try:
-            with open(self.path, "rb") as reader:
-                reader.seek(-1, os.SEEK_END)
-                needs_newline = reader.read(1) != b"\n"
-        except (OSError, ValueError):
-            needs_newline = False  # missing or empty file
+        payload = line.encode("utf-8") + b"\n"
+        if ends_torn(self.path):
+            payload = b"\n" + payload
         with open(self.path, "ab") as handle:
-            payload = line.encode("utf-8") + b"\n"
-            if needs_newline:
-                payload = b"\n" + payload
             handle.write(payload)
 
     def append_run(self, kind: str, verdict: str, *, duration: float = 0.0,

@@ -39,8 +39,9 @@ whichever way it is dispatched.
 * a spec that fails ``retries + 1`` times is quarantined (recorded in
   the :class:`~repro.perf.resilience.QuarantineReport`, ``None`` in the
   results) instead of aborting the sweep;
-* completed keys go to the :class:`~repro.perf.resilience.CheckpointJournal`
-  so an interrupted sweep resumes without re-running finished work.
+* completed and quarantined keys go to the
+  :class:`~repro.perf.resilience.CheckpointJournal`; the cache is what
+  lets an interrupted sweep resume without re-running finished work.
 
 Surviving results keep their input-order slots either way, so partial
 results are deterministic.
@@ -149,8 +150,9 @@ def run_trials(
         by an in-worker watchdog.
     journal:
         Resilient mode: a :class:`CheckpointJournal` (or a path to one).
-        Keys already recorded as done are served from the cache and
-        skipped; completed keys are appended as the sweep progresses.
+        Completed and quarantined keys are appended as the sweep
+        progresses.  Only the cache skips work: a journaled key runs
+        again unless the cache still holds its result.
     quarantine:
         Resilient mode: a :class:`QuarantineReport` collecting the specs
         the executor gave up on.  Their result slots hold ``None``.

@@ -276,17 +276,16 @@ def _task_cache(cache: Optional[TrialCache],
     return TrialCache(root), current
 
 
-def _worker_main(conn, warm: bool) -> None:
+def _worker_main(conn) -> None:
     """Long-lived worker loop: recv batch → execute → send reply."""
     global _SHARED, _SHARED_PID
     _SHARED, _SHARED_PID = None, -1  # never reuse a forked parent's pool
     # A pool forked from inside a trial (an audit oracle's nested pool)
     # inherits the trial's paused collector; a worker starts with it on.
     gc.enable()
-    if warm:
-        from .spec import warm_imports
+    from .spec import warm_imports
 
-        warm_imports()
+    warm_imports()
     cache: Optional[TrialCache] = None
     cache_file: Optional[Tuple[int, int]] = None
     while True:
@@ -347,11 +346,12 @@ class WorkerPool:
 
     One pool serves many ``run_trials`` calls; only one call drives it
     at a time (the executor is synchronous), selected by
-    :meth:`scoped`/:meth:`limit`.  ``stats`` meters the pool's lifetime;
-    a scoped :class:`DispatchStats` sees only its own call's costs.
+    :meth:`scoped`/:meth:`limit`.  A scoped :class:`DispatchStats` sees
+    its own call's costs.  Workers are forked where the platform can
+    fork (the default start method otherwise).
     """
 
-    def __init__(self, warm: bool = True, context: Optional[str] = None):
+    def __init__(self) -> None:
         import multiprocessing as mp
         # Force multiprocessing.util's atexit hook (join all non-daemon
         # children) to register BEFORE ours: atexit is LIFO, so our
@@ -361,11 +361,9 @@ class WorkerPool:
         # which deadlocks interpreter exit behind live workers.
         import multiprocessing.util  # noqa: F401
 
-        if context is None:
-            context = "fork" if "fork" in mp.get_all_start_methods() \
-                else None
-        self._ctx = mp.get_context(context) if context else mp.get_context()
-        self._warm = warm
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None
+        )
         self._workers: Dict[int, _Worker] = {}
         self._pending: Deque[PoolTask] = deque()
         self._abandoned: Set[int] = set()
@@ -374,13 +372,11 @@ class WorkerPool:
         self._next_task_id = 0
         self._limit: Optional[int] = None
         self.closed = False
-        self.stats = DispatchStats()
         atexit.register(self.shutdown)
 
     # -- accounting ----------------------------------------------------------
 
     def _account(self, field: str, amount: int = 1) -> None:
-        setattr(self.stats, field, getattr(self.stats, field) + amount)
         for scope in self._scopes:
             setattr(scope, field, getattr(scope, field) + amount)
 
@@ -400,7 +396,7 @@ class WorkerPool:
     def _spawn(self, wid: Optional[int] = None) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, self._warm),
+            target=_worker_main, args=(child_conn,),
             name=f"repro-pool-{wid if wid is not None else self._next_wid}",
             daemon=False,  # workers may nest their own pools (audit oracles)
         )

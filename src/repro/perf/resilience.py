@@ -13,10 +13,11 @@ Three small pieces the executor composes:
   exhausted their retries; sweeps degrade to partial results plus this
   report instead of aborting.
 * :class:`CheckpointJournal` — an append-only JSONL journal of finished
-  spec keys.  ``--resume`` replays it to skip completed work (results
-  are served from the :class:`~repro.perf.cache.TrialCache`); a line is
-  written *after* the cache store, so a crash mid-sweep can lose at most
-  the in-flight trials, never record phantom completions.
+  and quarantined spec keys (``--resume``).  It records progress; the
+  :class:`~repro.perf.cache.TrialCache` is what skips completed work on
+  a re-run.  A line is written *after* the cache store, so a crash
+  mid-sweep can lose at most the in-flight trials, never record
+  phantom completions.
 
 :class:`SabotagedSpec` is the harness's own fault injector: it wraps any
 trial spec and makes the *worker* fail, so the three pieces above can be
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 import signal
 import sqlite3
@@ -315,6 +317,17 @@ class QuarantineReport:
         return "\n".join(lines)
 
 
+def ends_torn(path: Path) -> bool:
+    """Does the file end in a torn line, with no trailing newline?  A
+    record appended to it would fuse with the fragment and be lost."""
+    try:
+        with open(path, "rb") as reader:
+            reader.seek(-1, os.SEEK_END)
+            return reader.read(1) != b"\n"
+    except (OSError, ValueError):
+        return False  # missing or empty file
+
+
 class CheckpointJournal:
     """Append-only JSONL journal of completed spec keys.
 
@@ -330,7 +343,10 @@ class CheckpointJournal:
         self._quarantined: Dict[str, str] = {}
         self._load()
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = ends_torn(self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
+        if torn:
+            self._handle.write("\n")  # the next record gets its own line
 
     def _load(self) -> None:
         if not self.path.is_file():

@@ -4,7 +4,9 @@ A problem specifies the permitted input/output sequences given the failure
 pattern.  We realize decision problems as :class:`TaskSpec` objects that
 *check* a finished simulation: each property (Validity, Agreement,
 Termination) is verified on the recorded trace, never inside protocol code,
-so a buggy protocol cannot self-certify.
+so a buggy protocol cannot self-certify.  A spec names its properties as
+:mod:`repro.tasks.properties` adapters, the same objects the model checker
+observes runs with and the trial drivers judge them by.
 
 All problems in this library are closed under indistinguishability (the
 checks depend on the failure pattern only through ``correct(F)``), matching
@@ -17,6 +19,7 @@ import dataclasses
 from typing import Any, List, Mapping
 
 from ..runtime.simulation import Simulation
+from .properties import PropertyAdapter, TerminationProperty, decision_verdict
 
 
 @dataclasses.dataclass
@@ -53,61 +56,30 @@ class TaskSpec:
 
     name: str = "task"
 
+    def safety_properties(
+        self, inputs: Mapping[int, Any]
+    ) -> List[PropertyAdapter]:
+        """The task's safety properties for a run with ``inputs``."""
+        raise NotImplementedError
+
+    def properties(self, inputs: Mapping[int, Any]) -> List[PropertyAdapter]:
+        """Every property of the task: its safety properties, then
+        Termination."""
+        return [*self.safety_properties(inputs), TerminationProperty()]
+
     def check(
         self,
         sim: Simulation,
         inputs: Mapping[int, Any],
         require_termination: bool = True,
     ) -> Verdict:
-        """Check a finished simulation; returns a :class:`Verdict`."""
-        raise NotImplementedError
-
-    # -- shared property checkers -----------------------------------------
-
-    @staticmethod
-    def _check_termination(
-        sim: Simulation, violations: List[Violation]
-    ) -> None:
-        """Termination: every correct participating process decided."""
-        for runtime in sim.correct_runtimes():
-            if not runtime.has_decided:
-                violations.append(
-                    Violation(
-                        "Termination",
-                        f"correct process {runtime.pid} never decided "
-                        f"(t={sim.time})",
-                    )
-                )
-
-    @staticmethod
-    def _check_validity(
-        sim: Simulation,
-        inputs: Mapping[int, Any],
-        violations: List[Violation],
-    ) -> None:
-        """Validity: any decided value is a proposed value."""
-        proposed = set(inputs.values())
-        for pid, value in sim.decisions().items():
-            if value not in proposed:
-                violations.append(
-                    Violation(
-                        "Validity",
-                        f"process {pid} decided {value!r}, not among "
-                        f"proposals {sorted(map(repr, proposed))}",
-                    )
-                )
-
-    @staticmethod
-    def _check_agreement(
-        sim: Simulation, k: int, violations: List[Violation]
-    ) -> None:
-        """Agreement: at most ``k`` distinct values decided."""
-        decided = sim.trace.decided_values()
-        if len(decided) > k:
-            violations.append(
-                Violation(
-                    "Agreement",
-                    f"{len(decided)} > {k} distinct decisions: "
-                    f"{sorted(map(repr, decided))}",
-                )
-            )
+        """Check a finished simulation; returns a :class:`Verdict` with one
+        :class:`Violation` per broken property."""
+        properties = (
+            self.properties(inputs) if require_termination
+            else self.safety_properties(inputs)
+        )
+        return Verdict(self.name, [
+            Violation(prop.prop, reason)
+            for prop, reason in decision_verdict(sim, properties)
+        ])

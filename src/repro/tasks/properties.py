@@ -1,6 +1,6 @@
-"""Property adapters — task specifications as exploration observers.
+"""Property adapters — the one definition of each task property.
 
-The explorer calls back into a small hook protocol:
+Each adapter states one property (Sect. 5.1) through a hook protocol:
 
 * :meth:`PropertyAdapter.on_step` after every executed step (safety along
   the path);
@@ -9,18 +9,20 @@ The explorer calls back into a small hook protocol:
 * :meth:`PropertyAdapter.at_horizon` when the depth bound cuts a branch;
 * :meth:`PropertyAdapter.check_run` on a stopped simulation — the whole-run
   re-evaluation used by counterexample shrinking, where the minimizer can
-  only look at the replayed end state.
+  only look at the replayed end state;
+* :meth:`PropertyAdapter.at_end` on a run its driver has finished with.
 
 Each hook returns ``None`` (property holds) or a human-readable reason
-string (violation).  Adapters cover the task specs the benches already
-check — k-set agreement/validity/termination for Fig. 1/Fig. 2, the
-C-properties of k-converge, and the Υf output-range condition for the
-Fig. 3 extraction.
+string (violation).  The model checker drives the first four; every
+other checker judges a finished run with :func:`decision_verdict`.
+Adapters cover k-set agreement/validity/termination for Fig. 1/Fig. 2,
+the C-properties of k-converge, and the Υf output-range condition for
+the Fig. 3 extraction.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..runtime.ops import Decide, Emit
 from ..runtime.simulation import Simulation
@@ -31,6 +33,9 @@ class PropertyAdapter:
     """Base adapter: every hook passes by default."""
 
     name: str = "property"
+    #: What a :class:`~repro.tasks.base.Verdict` calls a breach: the
+    #: paper's name of the property (``"Agreement"``, ``"C-Validity"``).
+    prop: str = "Property"
 
     def on_step(
         self, sim: Simulation, record: StepRecord
@@ -47,9 +52,16 @@ class PropertyAdapter:
         """Evaluate on a stopped simulation (used by shrinking)."""
         return self.at_terminal(sim)
 
+    def at_end(self, sim: Simulation) -> Optional[str]:
+        """Evaluate a run its driver has finished with: stopped at its
+        step budget or its stop condition, never to be scheduled again."""
+        return self.check_run(sim)
+
 
 class AgreementProperty(PropertyAdapter):
     """At most ``k`` distinct decision values (k-set agreement)."""
+
+    prop = "Agreement"
 
     def __init__(self, k: int):
         self.k = k
@@ -78,6 +90,7 @@ class ValidityProperty(PropertyAdapter):
     """Every decision was some process's input."""
 
     name = "validity"
+    prop = "Validity"
 
     def __init__(self, inputs: Mapping[int, Any]):
         self.allowed = set(inputs.values())
@@ -104,9 +117,12 @@ class ValidityProperty(PropertyAdapter):
 
 
 class TerminationProperty(PropertyAdapter):
-    """A quiescent run must have every correct process decided."""
+    """Every correct process decides: the explorer refutes it only on a
+    quiescent state, a finished run (:meth:`at_end`) whenever a correct
+    process is undecided — a run stalled at its step budget must fail."""
 
     name = "termination"
+    prop = "Termination"
 
     def at_terminal(self, sim):
         undecided = [
@@ -124,6 +140,11 @@ class TerminationProperty(PropertyAdapter):
             return None  # not quiescent: nothing to conclude
         return self.at_terminal(sim)
 
+    def at_end(self, sim):
+        if not sim.all_correct_decided():
+            return f"correct processes undecided after {sim.time} steps"
+        return None
+
 
 class ConvergeAgreementProperty(PropertyAdapter):
     """C-Agreement: a commit bounds the distinct picks by ``k``.
@@ -131,6 +152,8 @@ class ConvergeAgreementProperty(PropertyAdapter):
     Decisions are the ``(picked, committed)`` pairs a converge-driver
     protocol decides with.
     """
+
+    prop = "C-Agreement"
 
     def __init__(self, k: int):
         self.k = k
@@ -164,6 +187,7 @@ class ConvergeValidityProperty(PropertyAdapter):
     """C-Validity: every pick was some process's converge input."""
 
     name = "c-validity"
+    prop = "C-Validity"
 
     def __init__(self, inputs: Mapping[int, Any]):
         self.allowed = set(inputs.values())
@@ -259,6 +283,11 @@ class CallbackProperty(PropertyAdapter):
         return self.at_terminal(sim)
 
 
-def default_property_names(properties: Iterable[PropertyAdapter]) -> list:
-    """The adapter names, in order (report/CLI helper)."""
-    return [prop.name for prop in properties]
+def decision_verdict(
+    sim: Simulation, properties: Sequence[PropertyAdapter]
+) -> List[Tuple[PropertyAdapter, str]]:
+    """Every property the finished run ``sim`` breaks, with its reason,
+    in the order of ``properties`` (each judged by :meth:`at_end`)."""
+    return [
+        (prop, reason) for prop in properties if (reason := prop.at_end(sim))
+    ]

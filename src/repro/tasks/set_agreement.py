@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping
 
-from ..runtime.simulation import Simulation
-from .base import TaskSpec, Verdict, Violation
+from .base import TaskSpec
+from .properties import AgreementProperty, PropertyAdapter, ValidityProperty
 
 
 class SetAgreementSpec(TaskSpec):
@@ -29,18 +29,10 @@ class SetAgreementSpec(TaskSpec):
         self.k = k
         self.name = f"{k}-set-agreement"
 
-    def check(
-        self,
-        sim: Simulation,
-        inputs: Mapping[int, Any],
-        require_termination: bool = True,
-    ) -> Verdict:
-        violations: List[Violation] = []
-        if require_termination:
-            self._check_termination(sim, violations)
-        self._check_validity(sim, inputs, violations)
-        self._check_agreement(sim, self.k, violations)
-        return Verdict(self.name, violations)
+    def safety_properties(
+        self, inputs: Mapping[int, Any]
+    ) -> List[PropertyAdapter]:
+        return [AgreementProperty(self.k), ValidityProperty(inputs)]
 
 
 class ConsensusSpec(SetAgreementSpec):

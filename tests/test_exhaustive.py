@@ -16,7 +16,7 @@ from repro.failures import FailurePattern
 from repro.mc import CallbackProperty, ExploreConfig, Explorer
 from repro.memory import check_immediacy, make_immediate_api
 from repro.runtime import Decide, RoundRobinScheduler, Simulation, System
-from repro.tasks import SetAgreementSpec
+from repro.tasks import ConvergeSpec, SetAgreementSpec
 
 #: Full-tree enumeration: no pruning of any kind, so the complete-schedule
 #: count is exactly the number of interleavings.
@@ -85,18 +85,13 @@ class TestConvergeExhaustive:
             result = yield from instance.converge(ctx, value)
             yield Decide(result)
 
-        def check(sim):
-            decisions = sim.decisions()
-            picks = {p for (p, _) in decisions.values()}
-            if any(c for (_, c) in decisions.values()):
-                assert len(picks) <= 1
-
         def make_sim():
             return Simulation(system, protocol, inputs=inputs)
 
-        full = Explorer(make_sim, [CallbackProperty(check)],
+        properties = ConvergeSpec(1).properties(inputs)
+        full = Explorer(make_sim, properties,
                         ExploreConfig(max_depth=64, **_FULL_TREE)).explore()
-        merged = Explorer(make_sim, [CallbackProperty(check)],
+        merged = Explorer(make_sim, properties,
                           ExploreConfig(max_depth=64)).explore()
         assert full.ok and merged.ok
         assert merged.stats.states_visited < full.stats.states_visited

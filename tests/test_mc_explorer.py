@@ -34,6 +34,10 @@ class TestPartialOrderReduction:
         assert not result.ok
         ce = result.counterexamples[0]
         assert ce.prop == "c-agreement(k=1)"
+        assert ce.reason == (
+            "a process committed yet 2 distinct values were picked "
+            "('v0', 'v1') > k=1"
+        )
         assert ce.verify()
 
     @pytest.mark.parametrize("por", [True, False])

@@ -258,6 +258,22 @@ class TestCheckpointJournal:
         with CheckpointJournal(path) as journal:
             assert journal.done_keys == {"aaa"}
 
+    def test_record_after_a_torn_tail_survives(self, tmp_path):
+        # A killed append leaves a fragment with no newline; the next
+        # record must start its own line instead of fusing with it.
+        path = tmp_path / "run.journal"
+        path.write_text(
+            json.dumps({"key": "aaa", "status": "done"}) + "\n"
+            + '{"key":"bbb'
+        )
+        with CheckpointJournal(path) as journal:
+            journal.record_done("ccc")
+            journal.record_quarantined("ddd", "worker death")
+        with CheckpointJournal(path) as journal:
+            assert journal.done_keys == {"aaa", "ccc"}
+            assert journal.quarantined() == {"ddd": "worker death"}
+        assert path.read_text().endswith("\n")
+
     def test_resume_skips_completed_keys(self, tmp_path):
         specs = [_quick_spec(s) for s in range(3)]
         cache = TrialCache(tmp_path / "cache")

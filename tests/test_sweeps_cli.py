@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import pytest
 
@@ -156,6 +157,59 @@ class TestCli:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if "error:" in line]
         assert len(errors) == 1 and flag in errors[0], errors
+
+
+class TestResilienceFlags:
+    """A resilience flag either acts or is refused; none is ignored."""
+
+    CHECK = ["check", "--protocol", "fig1", "--processes", "2",
+             "--depth", "10"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--retries", "2"],
+        ["--trial-timeout", "5"],
+        ["--retries", "1", "--jobs", "1"],
+    ])
+    def test_check_guards_need_a_parallel_check(self, capsys, flags):
+        assert main(self.CHECK + flags) == 2
+        assert "--jobs 2" in capsys.readouterr().err
+
+    def test_check_has_no_resume_journal(self, capsys, tmp_path):
+        journal = tmp_path / "check.journal"
+        with pytest.raises(SystemExit) as exc:
+            main(self.CHECK + ["--jobs", "2", "--resume", str(journal)])
+        assert exc.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not journal.exists()
+
+    def test_parallel_check_takes_the_guards(self, capsys):
+        assert main(self.CHECK + ["--jobs", "2", "--retries", "1",
+                                  "--trial-timeout", "60"]) == 0
+        assert "properties: OK" in capsys.readouterr().out
+
+    def test_sweep_resume_needs_the_cache(self, capsys, tmp_path):
+        journal = tmp_path / "sweep.journal"
+        code = main([
+            "sweep", "set-agreement", "--sizes", "3", "--seeds", "0-3",
+            "--stabilizations", "0", "--no-cache", "--resume", str(journal),
+        ])
+        assert code == 2
+        assert "--resume needs the trial cache" in capsys.readouterr().err
+        assert not journal.exists()
+
+    def test_sweep_resume_reruns_nothing(self, capsys, tmp_path):
+        argv = [
+            "sweep", "set-agreement", "--sizes", "3", "--seeds", "0-3",
+            "--stabilizations", "0", "--cache-dir", str(tmp_path / "cache"),
+            "--resume", str(tmp_path / "sweep.journal"), "--json",
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["cache"] == {
+            "dir": str(tmp_path / "cache"), "hits": 4, "misses": 0,
+        }
 
 
 class TestDetectorRegistry:
