@@ -6,7 +6,7 @@ pattern.  We realize decision problems as :class:`TaskSpec` objects that
 Termination) is verified on the recorded trace, never inside protocol code,
 so a buggy protocol cannot self-certify.  A spec names its properties as
 :mod:`repro.tasks.properties` adapters, the same objects the model checker
-observes runs with and the trial drivers judge them by.
+observes runs with and every seeded trial is judged by.
 
 All problems in this library are closed under indistinguishability (the
 checks depend on the failure pattern only through ``correct(F)``), matching

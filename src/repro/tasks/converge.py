@@ -1,6 +1,6 @@
-"""The k-converge task (Sect. 5.1) over traces: a converge-driver
-protocol decides the ``(picked, committed)`` pair its ``k``-converge call
-returned (:mod:`repro.core.converge`)."""
+"""The k-converge task (Sect. 5.1) over traces: a protocol that runs
+``k``-converge decides the ``(picked, committed)`` pair the call returned
+(:mod:`repro.core.converge`)."""
 
 from __future__ import annotations
 

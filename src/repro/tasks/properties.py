@@ -10,7 +10,7 @@ Each adapter states one property (Sect. 5.1) through a hook protocol:
 * :meth:`PropertyAdapter.check_run` on a stopped simulation — the whole-run
   re-evaluation used by counterexample shrinking, where the minimizer can
   only look at the replayed end state;
-* :meth:`PropertyAdapter.at_end` on a run its driver has finished with.
+* :meth:`PropertyAdapter.at_end` on a finished run.
 
 Each hook returns ``None`` (property holds) or a human-readable reason
 string (violation).  The model checker drives the first four; every
@@ -53,8 +53,8 @@ class PropertyAdapter:
         return self.at_terminal(sim)
 
     def at_end(self, sim: Simulation) -> Optional[str]:
-        """Evaluate a run its driver has finished with: stopped at its
-        step budget or its stop condition, never to be scheduled again."""
+        """Evaluate a finished run: stopped at its step budget or its
+        stop condition, never to be scheduled again."""
         return self.check_run(sim)
 
 
