@@ -17,7 +17,7 @@ import pytest
 from repro.mc import (
     ExploreConfig,
     McInstance,
-    ParallelExplorer,
+    check,
     explore_instance,
 )
 from repro.obs.campaign import SCHEMA_VERSION as ARTIFACT_SCHEMA_VERSION
@@ -75,18 +75,17 @@ def test_mc_por_strictly_reduces():
 def test_mc_serial_vs_parallel(benchmark):
     """Wall time of the perf-pool fan-out on the same fixed instance."""
     config = ExploreConfig(max_depth=DEPTH)
-    explorer = ParallelExplorer(jobs=2)
 
     def run():
-        result = explorer.explore(INSTANCE, config)
-        assert result.ok
-        return result
+        report = check(INSTANCE, config, jobs=2)
+        assert report.ok
+        return report.total_stats()
 
-    result = benchmark(run)
+    stats = benchmark(run)
     serial = _explore(True)
     _RESULTS["parallel_jobs2"] = {
-        "states_visited": result.stats.states_visited,
-        "complete_schedules": result.stats.complete_schedules,
+        "states_visited": stats.states_visited,
+        "complete_schedules": stats.complete_schedules,
         # shards don't share sleep/visited tables: upper bound on serial
         "serial_states_visited": serial.stats.states_visited,
     }

@@ -36,9 +36,6 @@ from .sweeps import (
     extraction_grid,
     protocol_spec,
     set_agreement_grid,
-    sweep_chaos,
-    sweep_extraction,
-    sweep_set_agreement,
     to_csv,
 )
 from .trace_io import (
@@ -87,9 +84,6 @@ __all__ = [
     "run_set_agreement_trial",
     "set_agreement_grid",
     "summarize",
-    "sweep_chaos",
-    "sweep_extraction",
-    "sweep_set_agreement",
     "to_csv",
     "trace_from_dict",
     "trace_to_dict",

@@ -1,18 +1,21 @@
-"""Parameter sweeps and CSV export for the experiment harness.
+"""Parameter grids and CSV export for the experiment harness.
 
-The benchmark suite times representative points; these helpers run the
-full grids behind EXPERIMENTS.md and dump flat CSVs for external
+The benchmark suite times representative points; these helpers build
+the full grids behind EXPERIMENTS.md and dump flat CSVs for external
 analysis — see ``benchmarks/report.py`` for the Markdown rendering.
 
-Sweeps are two-phase: a *grid builder* (:func:`set_agreement_grid`,
+A sweep is two steps: a *grid builder* (:func:`set_agreement_grid`,
 :func:`extraction_grid`, :func:`chaos_grid`) turns parameter sequences
 into picklable
 :mod:`repro.perf` trial specs — raising :class:`EmptySweepError` early
-when a parameter filters the grid down to nothing — and the
-:func:`repro.perf.executor.run_trials` executor runs them, serially or
+when a parameter filters the grid down to nothing — and
+:func:`repro.perf.executor.run_trials` runs them, in this process or
 across a process pool (``jobs``), optionally through a disk-backed
 :class:`~repro.perf.cache.TrialCache`.  Results always come back in
-grid order, so ``jobs=8`` and ``jobs=1`` export identical CSVs.
+grid order, so ``jobs=8`` and ``jobs=1`` export identical CSVs::
+
+    results = run_trials(set_agreement_grid([3, 4], range(10), [0]), jobs=2)
+    to_csv(results, "fig1.csv")
 """
 
 from __future__ import annotations
@@ -20,21 +23,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-from typing import (
-    Callable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    TextIO,
-    Union,
-)
+from typing import Iterable, List, Optional, Sequence, TextIO, Union
 
 from ..chaos.config import ChaosConfig
-from ..detectors.base import DetectorSpec
-from ..failures.environment import Environment
-from ..perf.cache import TrialCache
-from ..perf.executor import run_trials
 from ..perf.spec import (
     ConvergeTrialSpec,
     ExtractionTrialSpec,
@@ -42,11 +33,6 @@ from ..perf.spec import (
     TrialSpec,
 )
 from ..runtime.process import System
-from .runner import (
-    ExtractionResult,
-    SetAgreementResult,
-    run_extraction_trial,
-)
 
 
 class EmptySweepError(ValueError):
@@ -246,120 +232,6 @@ def chaos_grid(
         for drop in drop_rates
         for seed in seeds
     ]
-
-
-# -- sweep drivers ---------------------------------------------------------
-
-
-def sweep_set_agreement(
-    system_sizes: Sequence[int],
-    seeds: Sequence[int],
-    stabilization_times: Sequence[int],
-    fs: Optional[Sequence[int]] = None,
-    adversarial: bool = False,
-    jobs: Optional[int] = 1,
-    cache: Optional[TrialCache] = None,
-    batch_size: Optional[int] = None,
-) -> List[SetAgreementResult]:
-    """Grid of Fig. 1 / Fig. 2 runs.
-
-    ``fs = None`` means the wait-free case (f = n) for each system size.
-    ``jobs > 1`` fans the grid out as batches over the persistent worker
-    pool (``batch_size`` specs per batch; default ~2 batches per
-    worker); ``cache`` serves already-computed trials from disk.  Output
-    order is the grid order either way.
-    """
-    specs = set_agreement_grid(
-        system_sizes, seeds, stabilization_times,
-        fs=fs, adversarial=adversarial,
-    )
-    return run_trials(specs, jobs=jobs, cache=cache, chunk_size=batch_size)
-
-
-def sweep_extraction(
-    detectors: Sequence[Union[str, Callable[[System], DetectorSpec]]],
-    system_sizes: Sequence[int],
-    seeds: Sequence[int],
-    f: Optional[int] = None,
-    stabilization_time: int = 60,
-    max_steps: int = 40_000,
-    jobs: Optional[int] = 1,
-    cache: Optional[TrialCache] = None,
-    batch_size: Optional[int] = None,
-) -> List[ExtractionResult]:
-    """Grid of Fig. 3 extractions.
-
-    ``detectors`` is an iterable of registry names (parallelizable and
-    cacheable) or, for backward compatibility, of callables
-    ``System -> DetectorSpec``.  Callables have no picklable identity, so
-    they run serially in-process and cannot use the cache.
-    ``f = None`` means wait-free.
-    """
-    detectors = list(detectors)
-    if all(isinstance(d, str) for d in detectors):
-        specs = extraction_grid(
-            detectors, system_sizes, seeds,
-            f=f, stabilization_time=stabilization_time, max_steps=max_steps,
-        )
-        return run_trials(specs, jobs=jobs, cache=cache,
-                          chunk_size=batch_size)
-    if (jobs is not None and jobs > 1) or cache is not None:
-        raise ValueError(
-            "parallel or cached extraction sweeps need detector registry "
-            "names (e.g. 'omega'), not spec factories — factories have no "
-            "picklable identity"
-        )
-    _require_non_empty("detectors", detectors)
-    _require_non_empty("system_sizes", system_sizes)
-    _require_non_empty("seeds", seeds)
-    results: List[ExtractionResult] = []
-    for n_procs in system_sizes:
-        system = System(n_procs)
-        env = (
-            Environment.wait_free(system)
-            if f is None
-            else Environment(system, f)
-        )
-        for factory in detectors:
-            spec: DetectorSpec = factory(system)
-            for seed in seeds:
-                results.append(run_extraction_trial(
-                    spec, env, seed=seed,
-                    stabilization_time=stabilization_time,
-                    max_steps=max_steps,
-                ))
-    return results
-
-
-def sweep_chaos(
-    protocols: Sequence[str],
-    system_sizes: Sequence[int],
-    seeds: Sequence[int],
-    lying_prefixes: Sequence[int] = (0,),
-    drop_rates: Sequence[float] = (0.0,),
-    jobs: Optional[int] = 1,
-    cache: Optional[TrialCache] = None,
-    batch_size: Optional[int] = None,
-    **grid_kwargs,
-) -> List[Optional[object]]:
-    """Grid of chaos trials (see :func:`chaos_grid` for the axes).
-
-    Extra keyword arguments — including the resilience knobs ``retries``,
-    ``trial_timeout``, ``journal``, ``quarantine``, ``backoff`` and
-    ``bus`` — are split between the grid builder and
-    :func:`~repro.perf.executor.run_trials`.  Quarantined trials leave
-    ``None`` in their result slots.
-    """
-    run_keys = ("retries", "trial_timeout", "journal", "quarantine",
-                "backoff", "bus")
-    run_kwargs = {k: grid_kwargs.pop(k) for k in run_keys if k in grid_kwargs}
-    specs = chaos_grid(
-        protocols, system_sizes, seeds,
-        lying_prefixes=lying_prefixes, drop_rates=drop_rates,
-        **grid_kwargs,
-    )
-    return run_trials(specs, jobs=jobs, cache=cache, chunk_size=batch_size,
-                      **run_kwargs)
 
 
 # -- CSV export ------------------------------------------------------------

@@ -203,11 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for sub_parser in (sw_sa, sw_ex, sw_ch):
         sub_parser.add_argument(
-            "--jobs", type=int, default=1,
+            "--jobs", type=_job_count, default=1,
             help="worker processes (0 = one per CPU; default 1 = serial)",
         )
         sub_parser.add_argument(
-            "--batch-size", type=int, default=None, metavar="N",
+            "--batch-size", type=_batch_size, default=None, metavar="N",
             help="trials per dispatched batch (default ~2 batches per "
                  "worker); one pickle round trip per batch",
         )
@@ -302,10 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: any)")
     worker.add_argument("--worker-id", default=None, metavar="ID",
                         help="lease-holder label (default host:pid)")
-    worker.add_argument("--jobs", type=int, default=1,
+    worker.add_argument("--jobs", type=_job_count, default=1,
                         help="local worker processes (0 = one per CPU; "
                              "default 1 = in-process)")
-    worker.add_argument("--batch-size", type=int, default=None, metavar="N",
+    worker.add_argument("--batch-size", type=_batch_size, default=None,
+                        metavar="N",
                         help="trials claimed per lease round (default: "
                              "sized from measured trial time to ~0.1 s "
                              "of work, between 2 per job and 64)")
@@ -413,9 +414,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mc_check.add_argument("--dedup", action=argparse.BooleanOptionalAction,
                           default=True,
                           help="fingerprint-based visited-state pruning")
-    mc_check.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (parallel root sharding)")
-    mc_check.add_argument("--batch-size", type=int, default=None, metavar="N",
+    mc_check.add_argument("--jobs", type=_job_count, default=1,
+                          help="worker processes; more than one shards a "
+                               "lone instance at its root (0 = one per "
+                               "CPU; default 1 = in-process)")
+    mc_check.add_argument("--batch-size", type=_batch_size, default=None,
+                          metavar="N",
                           help="shards per dispatched batch (default ~2 "
                                "batches per worker)")
     mc_check.add_argument("--max-crashes", type=int, default=0,
@@ -433,8 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           default=None,
                           help="write the first counterexample to FILE "
                                "as JSON")
-    _add_resilience_flags(mc_check, unit="shard",
-                          note="; needs --jobs 2 or more")
+    _add_resilience_flags(mc_check, unit="shard")
 
     audit = sub.add_parser(
         "audit",
@@ -450,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="approximate trial-pair budget, split across "
                             "the selected oracle pairs (default 200)")
     audit.add_argument("--seed", type=int, default=0)
-    audit.add_argument("--jobs", type=int, default=1,
+    audit.add_argument("--jobs", type=_job_count, default=1,
                        help="worker processes for sharding audit cases "
                             "(default 1 = in-process)")
     audit.add_argument("--report", metavar="FILE",
@@ -537,17 +540,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_resilience_flags(sub_parser, unit: str = "trial",
-                          note: str = "") -> None:
+def _add_resilience_flags(sub_parser, unit: str = "trial") -> None:
     sub_parser.add_argument(
         "--retries", type=int, default=0,
         help=f"re-run a failing/crashing {unit} up to N extra times "
-             f"before quarantining it (default 0){note}",
+             f"before quarantining it (default 0)",
     )
     sub_parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="SECONDS",
-        help=f"per-{unit} wall-clock budget, enforced by an in-worker "
-             f"watchdog{note}",
+        help=f"per-{unit} wall-clock budget, enforced by a watchdog in "
+             f"the process that runs it",
     )
 
 
@@ -728,6 +730,28 @@ def _process_count(text: str) -> int:
             f"a distributed system needs at least 2 processes, got {count}"
         )
     return count
+
+
+def _job_count(text: str) -> int:
+    """argparse ``type=`` of every ``--jobs`` flag: 0 means one worker
+    per CPU."""
+    return _bounded_int(text, 0, "a worker count")
+
+
+def _batch_size(text: str) -> int:
+    """argparse ``type=`` of every ``--batch-size`` flag."""
+    return _bounded_int(text, 1, "a batch size")
+
+
+def _bounded_int(text: str, least: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _process_counts(text: str) -> list:
@@ -1167,10 +1191,6 @@ def _cmd_check(args) -> int:
     from .perf import QuarantineReport
 
     resilient = bool(args.retries or args.trial_timeout)
-    if resilient and not args.jobs > 1:
-        print("error: --retries and --trial-timeout guard the shards of a "
-              "parallel check; pass --jobs 2 or more", file=sys.stderr)
-        return 2
     quarantine = QuarantineReport() if resilient else None
     import time as time_module
 

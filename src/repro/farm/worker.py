@@ -41,6 +41,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..perf.cache import TrialCache
+from ..perf.executor import _cache_root, _fold_reply
 from ..perf.pool import InlinePool, WorkerPool, batch_lost, shared_pool
 from ..perf.resilience import ResiliencePolicy, TrialFailure
 from .store import FarmStore, LeasedTrial, RetryingStore
@@ -299,10 +300,12 @@ class FarmWorker:
         """Run one claim and settle each reply with one ``complete_many``.
 
         In-process the claim is one task, so its results reach the cache
-        in one ``put_many``; pooled, it is split into ``jobs`` tasks.  A
-        lost batch (a pool worker death or an aborted reply) fails each
-        of its trials through ``fail``, which retries or quarantines them
-        per the policy.
+        in one ``put_many``; pooled, it is split into ``jobs`` tasks, and
+        each reply's cache accounting is folded into ``self.cache`` as
+        the executor does: once a worker's writes have failed, later
+        tasks name no cache.  A lost batch (a pool worker death or an
+        aborted reply) fails each of its trials through ``fail``, which
+        retries or quarantines them per the policy.
         """
         if heartbeat.lost.is_set():
             self._abandon(heartbeat, leases)
@@ -323,8 +326,7 @@ class FarmWorker:
                 keys=tuple(lease.key for lease in part),
                 observed=True, capture=True,
                 timeout=self.policy.trial_timeout,
-                cache_root=str(self.cache.root)
-                if self.cache is not None else None,
+                cache_root=_cache_root(self.cache),
             ))
             outstanding += 1
         try:
@@ -332,6 +334,8 @@ class FarmWorker:
                 kind, task, payload = pool.wait()
                 outstanding -= 1
                 lost = batch_lost(kind, payload)
+                if lost is None:
+                    _fold_reply(payload, self.cache)
                 items = payload.items if lost is None else \
                     [(TrialFailure("error", lost), None)] * len(task.indices)
                 self._settle([

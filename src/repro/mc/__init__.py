@@ -13,7 +13,8 @@ subset, and crash time of a small instance, with
   k-converge, and the Υf output-range condition,
 * replayable, shrinkable, JSON round-tripping counterexamples
   (:mod:`repro.mc.counterexample`), and
-* a perf-pool parallel mode (:mod:`repro.mc.parallel`).
+* shards (:mod:`repro.mc.parallel`): :func:`check` runs its work as
+  trial specs through :func:`repro.perf.run_trials`, at any ``jobs``.
 
 Front door::
 
@@ -52,7 +53,6 @@ from .instances import (
 )
 from .parallel import (
     McShardSpec,
-    ParallelExplorer,
     execute_mc_shard,
     make_shard_spec,
     shard_prefixes,
@@ -86,7 +86,6 @@ __all__ = [
     "FingerprintError",
     "McInstance",
     "McShardSpec",
-    "ParallelExplorer",
     "PropertyAdapter",
     "RawViolation",
     "ReductionStats",

@@ -205,7 +205,7 @@ class Explorer:
         Exploration bounds.
     prefix:
         A schedule to replay (with property checks) before exploring —
-        the sharding hook used by :class:`~repro.mc.parallel.ParallelExplorer`.
+        the sharding hook behind :class:`~repro.mc.parallel.McShardSpec`.
     """
 
     def __init__(
@@ -484,11 +484,10 @@ class CheckReport:
     """Aggregate over a (possibly swept) :func:`check` call."""
 
     results: List[CheckResult]
-    #: Measured wall time of the whole call, set by :func:`check` when the
-    #: per-result walls overlapped (``jobs > 1``).  ``total_stats`` uses
-    #: it in place of the summed shard walls, so parallel throughput is
-    #: states over *elapsed* time, not over total cpu time.
-    elapsed_seconds: Optional[float] = None
+    #: Measured wall time of the whole call.  ``total_stats`` uses it in
+    #: place of the shard walls, so parallel throughput is states over
+    #: *elapsed* time, not over total cpu time.
+    elapsed_seconds: float
 
     @property
     def ok(self) -> bool:
@@ -504,13 +503,9 @@ class CheckReport:
 
     def total_stats(self) -> ExploreStats:
         total = ExploreStats()
-        if self.elapsed_seconds is None:
-            for result in self.results:
-                total.merge(result.stats)
-        else:
-            for result in self.results:
-                total.merge_concurrent(result.stats)
-            total.wall_seconds = self.elapsed_seconds
+        for result in self.results:
+            total.merge_concurrent(result.stats)
+        total.wall_seconds = self.elapsed_seconds
         return total
 
     def total_reduction(self) -> ReductionStats:
@@ -593,7 +588,7 @@ def check(
     instance: McInstance,
     config: Optional[ExploreConfig] = None,
     sweep: Optional[CrashSweep] = None,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     cache=None,
     *,
     batch_size: Optional[int] = None,
@@ -604,31 +599,40 @@ def check(
 ) -> CheckReport:
     """Model-check an instance — schedules × crash subsets × crash times.
 
-    With ``sweep``, the failure patterns of
-    :func:`~repro.mc.instances.sweep_instances` are each explored in
-    full.  With ``jobs > 1`` the work is fanned out over
-    :func:`repro.perf.run_trials` workers (sharding the root branching
-    factor when there is only one instance to check); the resilience
-    knobs (``retries``, ``trial_timeout``, ``quarantine``) apply only on
-    that fan-out path and degrade a quarantined shard or swept instance
-    to a truncated/omitted result instead of aborting.
+    The work runs as :class:`~repro.mc.parallel.McShardSpec` trials
+    through :func:`repro.perf.run_trials`, so ``jobs`` (``0``/``None``:
+    one worker per CPU; ``1``: in this process), ``cache``,
+    ``batch_size`` (``run_trials``' ``chunk_size``), ``retries``,
+    ``trial_timeout``, ``quarantine`` and ``collector`` mean what they
+    mean there.  With ``sweep``, each failure pattern of
+    :func:`~repro.mc.instances.sweep_instances` is one shard, explored
+    in full; a quarantined pattern is left out of the report.  A lone
+    instance is one shard, or one per root branch when more than one
+    worker runs; a quarantined branch marks the merged stats truncated.
     """
-    config = config if config is not None else ExploreConfig()
-    instances = (
-        sweep_instances(instance, sweep) if sweep is not None else [instance]
-    )
-    if jobs and jobs > 1:
-        from .parallel import run_check_shards  # deferred: import cycle
+    # Deferred: repro.mc.parallel imports this module, and repro.perf
+    # stays unimported until a check runs.
+    from ..perf.executor import resolve_jobs, run_trials
+    from .parallel import make_shard_spec, merge_shard_results, shard_prefixes
 
-        started = _time.perf_counter()
-        results = run_check_shards(
-            instances, config, jobs=jobs, cache=cache,
-            batch_size=batch_size,
-            retries=retries, trial_timeout=trial_timeout,
-            quarantine=quarantine, collector=collector,
-        )
-        elapsed = _time.perf_counter() - started
-        results = [r for r in results if r is not None]
-        return CheckReport(results, elapsed_seconds=elapsed)
-    results = [explore_instance(i, config) for i in instances]
-    return CheckReport(results)
+    config = config if config is not None else ExploreConfig()
+    started = _time.perf_counter()
+    if sweep is not None:
+        specs = [make_shard_spec(swept, config)
+                 for swept in sweep_instances(instance, sweep)]
+    else:
+        prefixes = shard_prefixes(instance, config) \
+            if resolve_jobs(jobs) > 1 else [()]
+        specs = [make_shard_spec(instance, config, prefix)
+                 for prefix in prefixes]
+    results = run_trials(
+        specs, jobs=jobs, cache=cache, chunk_size=batch_size,
+        retries=retries, trial_timeout=trial_timeout,
+        quarantine=quarantine, collector=collector,
+    )
+    if sweep is None:
+        results = [merge_shard_results(instance, config, results)]
+    return CheckReport(
+        [result for result in results if result is not None],
+        elapsed_seconds=_time.perf_counter() - started,
+    )

@@ -1,18 +1,19 @@
-"""Parallel exploration — sharding the scheduling tree over perf workers.
+"""Model-checking shards — the trial specs that :func:`~repro.mc.check` runs.
 
 A model-checking *shard* is an instance plus a schedule prefix: the
 worker replays the prefix and exhaustively explores the subtree below
 it.  Sharding the root branching factor (one shard per length-``d``
-prefix) makes the shards independent, so they fan out over the existing
-:func:`repro.perf.executor.run_trials` process pool and land in the same
-content-addressed :class:`~repro.perf.cache.TrialCache` as bench trials
+prefix) makes the shards independent, so they run through
+:func:`repro.perf.executor.run_trials` like any trial, in this process
+or over its worker pool, and land in the same content-addressed
+:class:`~repro.perf.cache.TrialCache` as bench trials
 (:class:`McShardSpec` carries the instance and config as canonical JSON
 strings precisely so ``spec_key`` hashes them unchanged).
 
-Two deliberate approximations versus a serial run:
+Two deliberate approximations versus an unsharded run:
 
 * Sibling shards don't share sleep sets or visited-state tables, so a
-  parallel exploration may visit *more* states than the serial one —
+  sharded exploration may visit *more* states than an unsharded one —
   verdicts and counterexamples are identical, the stats are an upper
   bound.
 * Each shard re-checks its prefix, so a violation inside a shared prefix
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..runtime.errors import ReproError
@@ -122,9 +122,9 @@ def merge_shard_results(
     :meth:`~repro.mc.explorer.ExploreStats.merge_concurrent`: compute
     time (``cpu_seconds``) sums, wall time takes the max — summing the
     overlapping shard walls understated the reported throughput by
-    roughly the worker count.  Callers that timed the whole fan-out
-    (:class:`ParallelExplorer`) overwrite ``wall_seconds`` with the
-    measured elapsed time, which also covers dispatch overhead.
+    roughly the worker count.  :func:`~repro.mc.explorer.check` also
+    records the measured elapsed time of the whole fan-out, dispatch
+    included, as its report's ``elapsed_seconds``.
     """
     merged = CheckResult(
         instance=resolve_instance(instance),
@@ -154,102 +154,3 @@ def merge_shard_results(
     merged.stats = stats
     merged.reduction = reduction
     return merged
-
-
-class ParallelExplorer:
-    """Shard one instance's root branching across perf workers.
-
-    Shards are the length-1 schedule prefixes, so there are at most
-    ``n + 1`` of them.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count (``None`` lets ``run_trials`` pick).
-    cache:
-        Optional :class:`~repro.perf.cache.TrialCache`; shards of an
-        unchanged instance/config are content-addressed hits.
-    batch_size:
-        Shards per dispatched batch (``run_trials``'s ``chunk_size``);
-        ``None`` means ~2 batches per worker.
-    retries / trial_timeout / quarantine:
-        Resilience knobs, forwarded verbatim to
-        :func:`~repro.perf.executor.run_trials`.  A shard that exhausts
-        its retries is quarantined and its subtree marks the merged
-        stats truncated instead of aborting the exploration.
-    """
-
-    def __init__(self, jobs: Optional[int] = None, cache=None, *,
-                 batch_size: Optional[int] = None,
-                 retries: int = 0,
-                 trial_timeout: Optional[float] = None,
-                 quarantine=None, collector=None):
-        self.jobs = jobs
-        self.cache = cache
-        self.batch_size = batch_size
-        self.retries = retries
-        self.trial_timeout = trial_timeout
-        self.quarantine = quarantine
-        self.collector = collector
-
-    def explore(
-        self,
-        instance: McInstance,
-        config: Optional[ExploreConfig] = None,
-    ) -> CheckResult:
-        from ..perf.executor import run_trials
-
-        config = config if config is not None else ExploreConfig()
-        instance = resolve_instance(instance)
-        started = time.perf_counter()
-        prefixes = shard_prefixes(instance, config)
-        specs = [
-            make_shard_spec(instance, config, prefix) for prefix in prefixes
-        ]
-        results = run_trials(
-            specs, jobs=self.jobs, cache=self.cache,
-            chunk_size=self.batch_size,
-            retries=self.retries, trial_timeout=self.trial_timeout,
-            quarantine=self.quarantine, collector=self.collector,
-        )
-        merged = merge_shard_results(instance, config, results)
-        # Measured elapsed of the whole fan-out (sharding + dispatch +
-        # slowest shard) — the honest denominator for states/second.
-        merged.stats.wall_seconds = time.perf_counter() - started
-        return merged
-
-
-def run_check_shards(
-    instances: Sequence[McInstance],
-    config: ExploreConfig,
-    jobs: Optional[int] = None,
-    cache=None,
-    *,
-    batch_size: Optional[int] = None,
-    retries: int = 0,
-    trial_timeout: Optional[float] = None,
-    quarantine=None,
-    collector=None,
-) -> List[Optional[CheckResult]]:
-    """The ``check(jobs > 1)`` backend.
-
-    A single instance is sharded at its root branching; a crash sweep
-    already has natural parallelism, so each swept instance becomes one
-    shard.  With the resilience knobs set, a quarantined swept instance
-    leaves ``None`` in its result slot.
-    """
-    if len(instances) == 1:
-        explorer = ParallelExplorer(
-            jobs=jobs, cache=cache, batch_size=batch_size, retries=retries,
-            trial_timeout=trial_timeout, quarantine=quarantine,
-            collector=collector,
-        )
-        return [explorer.explore(instances[0], config)]
-    from ..perf.executor import run_trials
-
-    specs = [make_shard_spec(instance, config) for instance in instances]
-    return run_trials(
-        specs, jobs=jobs, cache=cache, chunk_size=batch_size,
-        retries=retries, trial_timeout=trial_timeout,
-        quarantine=quarantine, collector=collector,
-    )

@@ -323,6 +323,13 @@ def _pool_session(pool: Optional[WorkerPool], jobs: int,
     return pool
 
 
+def _cache_root(cache: Optional[TrialCache]) -> Optional[str]:
+    """The cache root a new task names: none once the cache has degraded,
+    because a degraded cache is read-only in the workers too."""
+    return str(cache.root) \
+        if cache is not None and not cache.degraded else None
+
+
 def _fold_reply(reply, cache: Optional[TrialCache]) -> None:
     """Fold a worker's cache accounting back into the parent cache: what
     the worker's cache stored, and whether its writes failed."""
@@ -389,16 +396,13 @@ def _run(
         ]
         window = len(batches)
     def submit(indices: List[int], pin: Optional[int] = None) -> None:
-        # A degraded cache is read-only, in the workers too — also once
-        # a worker's reply has degraded it mid-run.
-        cache_root = str(cache.root) \
-            if cache is not None and not cache.degraded else None
         pool.submit(pool.make_task(
             indices=indices, specs=[specs[i] for i in indices],
             keys=tuple(keys[i] for i in indices) if observed and capture
             else (),
             observed=observed, capture=capture,
-            timeout=policy.trial_timeout, cache_root=cache_root, pin=pin,
+            timeout=policy.trial_timeout, cache_root=_cache_root(cache),
+            pin=pin,
         ))
 
     def charge(i: int, reason: str, timed_out: bool = False) -> bool:

@@ -348,12 +348,13 @@ class TestChaosGrid:
             chaos_grid(["fig1"], [3], [0], drop_rates=[2.0])
 
     def test_sweep_chaos_runs_the_grid(self):
-        from repro.analysis import sweep_chaos, to_csv
+        from repro.analysis import chaos_grid, to_csv
+        from repro.perf import run_trials
 
-        results = sweep_chaos(
+        results = run_trials(chaos_grid(
             ["fig1"], [3], [0, 1], lying_prefixes=[15],
             drop_rates=[0.0], max_steps=50_000,
-        )
+        ))
         assert len(results) == 2
         assert all(r.ok for r in results)
         header = to_csv(results).splitlines()[0]

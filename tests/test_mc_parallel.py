@@ -1,17 +1,27 @@
-"""Parallel exploration: sharding, perf-pool dispatch, caching."""
+"""Sharded exploration: shard specs, dispatch through run_trials, caching."""
+
+import pytest
 
 from repro.mc import (
     CrashSweep,
     ExploreConfig,
     McInstance,
-    ParallelExplorer,
     check,
     execute_mc_shard,
     explore_instance,
     make_shard_spec,
     shard_prefixes,
 )
-from repro.perf import TrialCache, execute_trial, spec_key
+from repro.obs import MetricsCollector
+from repro.perf import (
+    QuarantineReport,
+    TrialCache,
+    execute_trial,
+    reset_shared_pool,
+    resolve_jobs,
+    shared_pool,
+    spec_key,
+)
 
 
 class TestShardSpecs:
@@ -46,7 +56,7 @@ class TestParallelParity:
         instance = McInstance("naive-converge", n_processes=2)
         config = ExploreConfig(max_depth=20)
         serial = explore_instance(instance, config)
-        parallel = ParallelExplorer(jobs=2).explore(instance, config)
+        parallel = check(instance, config, jobs=2)
         assert serial.ok == parallel.ok is False
         # Each shard reports its own first violation; the serial one must
         # be among them (shard (0,) finds exactly the serial witness).
@@ -61,13 +71,13 @@ class TestParallelParity:
         instance = McInstance("converge", n_processes=2)
         config = ExploreConfig(max_depth=24)
         serial = explore_instance(instance, config)
-        parallel = ParallelExplorer(jobs=2).explore(instance, config)
+        parallel = check(instance, config, jobs=2)
         assert serial.ok and parallel.ok
         # Shards cover the same tree; without cross-shard sleep sets the
         # parallel state count is an upper bound on the serial one.
-        assert parallel.stats.states_visited >= serial.stats.states_visited
-        assert parallel.stats.complete_schedules >= \
-            serial.stats.complete_schedules
+        stats = parallel.total_stats()
+        assert stats.states_visited >= serial.stats.states_visited
+        assert stats.complete_schedules >= serial.stats.complete_schedules
 
     def test_swept_check_with_jobs(self):
         report = check(
@@ -143,23 +153,67 @@ class TestCaching:
         instance = McInstance("converge", n_processes=2)
         config = ExploreConfig(max_depth=20)
         cache = TrialCache(tmp_path)
-        first = ParallelExplorer(jobs=1, cache=cache).explore(instance,
-                                                              config)
+        first = check(instance, config, cache=cache)
         assert cache.misses > 0 and cache.hits == 0
         cache_again = TrialCache(tmp_path)
-        second = ParallelExplorer(jobs=1, cache=cache_again).explore(
-            instance, config)
+        second = check(instance, config, cache=cache_again)
         assert cache_again.hits > 0 and cache_again.misses == 0
-        assert first.stats.states_visited == second.stats.states_visited
+        assert first.total_stats().states_visited == \
+            second.total_stats().states_visited
 
     def test_cached_shard_result_replays(self, tmp_path):
         instance = McInstance("naive-converge", n_processes=2)
         config = ExploreConfig(max_depth=20)
-        cache = TrialCache(tmp_path)
-        ParallelExplorer(jobs=1, cache=cache).explore(instance, config)
-        reloaded = ParallelExplorer(jobs=1,
-                                    cache=TrialCache(tmp_path)).explore(
-            instance, config)
+        check(instance, config, cache=TrialCache(tmp_path))
+        reloaded = check(instance, config, cache=TrialCache(tmp_path))
         assert not reloaded.ok
         # Counterexamples that crossed the pickle boundary still replay.
         assert all(ce.verify() for ce in reloaded.counterexamples)
+
+
+class TestEveryJobsCount:
+    """``check`` runs its shards through ``run_trials`` at every ``jobs``,
+    so each of its parameters acts whatever the worker count."""
+
+    INSTANCE = McInstance("fig1", n_processes=2)
+    CONFIG = ExploreConfig(max_depth=10)
+
+    @pytest.mark.parametrize("jobs", [0, 1, 2])
+    def test_cache_collector_and_pool_act(self, tmp_path, jobs):
+        reset_shared_pool()
+        try:
+            collector = MetricsCollector()
+            cache = TrialCache(tmp_path)
+            first = check(self.INSTANCE, self.CONFIG, sweep=CrashSweep(),
+                          jobs=jobs, cache=cache, collector=collector,
+                          retries=1)
+            counters = collector.snapshot()["counters"]
+            assert counters["trials_completed"] == {"mc_shard": 3}
+            assert cache.stores == 3
+            workers = 0 if jobs == 1 else resolve_jobs(jobs)
+            assert shared_pool().size() == workers
+            warm = TrialCache(tmp_path)
+            second = check(self.INSTANCE, self.CONFIG, sweep=CrashSweep(),
+                           jobs=jobs, cache=warm)
+            assert (warm.hits, warm.misses) == (3, 0)
+            assert second.total_stats().states_visited == \
+                first.total_stats().states_visited
+        finally:
+            reset_shared_pool()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_timeout_below_a_shards_run_quarantines_it(self, jobs):
+        # One unsharded Fig. 2 exploration takes about 2 s; a 10 ms
+        # watchdog stops every shard, in this process as in a worker.
+        instance = McInstance("fig2", 3, f=1, stabilization_time=3)
+        config = ExploreConfig(max_depth=18)
+        quarantine = QuarantineReport()
+        report = check(instance, config, jobs=jobs, trial_timeout=0.01,
+                       quarantine=quarantine)
+        shards = len(shard_prefixes(instance, config)) if jobs > 1 else 1
+        assert len(quarantine) == shards
+        assert all("exceeded" in entry.reason
+                   for entry in quarantine.entries)
+        [result] = report.results
+        assert result.stats.truncated
+        assert result.stats.states_visited == 0

@@ -9,8 +9,6 @@ from repro.analysis import (
     EmptySweepError,
     extraction_grid,
     set_agreement_grid,
-    sweep_extraction,
-    sweep_set_agreement,
     to_csv,
 )
 from repro.perf import (
@@ -139,8 +137,8 @@ class TestExecutor:
             system_sizes=[3, 4], seeds=[0, 1, 2, 3],
             stabilization_times=[0, 40],
         )
-        serial = sweep_set_agreement(**kwargs, jobs=1)
-        parallel = sweep_set_agreement(**kwargs, jobs=4)
+        serial = run_trials(set_agreement_grid(**kwargs), jobs=1)
+        parallel = run_trials(set_agreement_grid(**kwargs), jobs=4)
         assert to_csv(serial) == to_csv(parallel)
         assert serial == parallel
 
@@ -149,8 +147,8 @@ class TestExecutor:
             detectors=["omega"], system_sizes=[3], seeds=[0, 1, 2],
             stabilization_time=40, max_steps=30_000,
         )
-        serial = sweep_extraction(**kwargs, jobs=1)
-        parallel = sweep_extraction(**kwargs, jobs=4)
+        serial = run_trials(extraction_grid(**kwargs), jobs=1)
+        parallel = run_trials(extraction_grid(**kwargs), jobs=4)
         assert to_csv(serial) == to_csv(parallel)
 
 
@@ -167,19 +165,21 @@ class TestCache:
 
     def test_sweep_warm_cache_equal(self, tmp_path):
         cache = TrialCache(tmp_path)
-        cold = sweep_set_agreement([3], [0, 1], [0, 20], cache=cache)
+        grid = set_agreement_grid([3], [0, 1], [0, 20])
+        cold = run_trials(grid, cache=cache)
         assert cache.misses == 4 and cache.hits == 0
-        warm = sweep_set_agreement([3], [0, 1], [0, 20], cache=cache)
+        warm = run_trials(grid, cache=cache)
         assert cache.hits == 4
         assert warm == cold
         assert to_csv(warm) == to_csv(cold)
 
     def test_parallel_sweep_populates_cache(self, tmp_path):
         cache = TrialCache(tmp_path)
-        sweep_set_agreement([3], [0, 1, 2, 3], [0], jobs=2, cache=cache)
+        grid = set_agreement_grid([3], [0, 1, 2, 3], [0])
+        run_trials(grid, jobs=2, cache=cache)
         assert len(cache) == 4
         # a later serial run is served entirely from disk
-        sweep_set_agreement([3], [0, 1, 2, 3], [0], jobs=1, cache=cache)
+        run_trials(grid, jobs=1, cache=cache)
         assert cache.hits == 4
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
@@ -193,8 +193,9 @@ class TestCache:
     def test_garbage_database_file_means_no_cache(self, tmp_path):
         (tmp_path / DB_NAME).write_bytes(b"not a database\n" * 256)
         cache = TrialCache(tmp_path)
-        results = sweep_set_agreement([3], [0, 1], [0, 20], cache=cache)
-        assert results == sweep_set_agreement([3], [0, 1], [0, 20])
+        grid = set_agreement_grid([3], [0, 1], [0, 20])
+        results = run_trials(grid, cache=cache)
+        assert results == run_trials(grid)
         assert (cache.hits, cache.misses, cache.stores) == (0, 4, 0)
         assert cache.degraded
 
@@ -232,7 +233,7 @@ class TestCache:
     def test_read_only_directory_still_serves_hits(self, tmp_path):
         root = tmp_path / "cache"
         writer = TrialCache(root)
-        sweep_set_agreement([3], [0], [0], cache=writer)
+        run_trials(set_agreement_grid([3], [0], [0]), cache=writer)
         writer.close()
         root.chmod(0o555)
         try:
@@ -243,8 +244,9 @@ class TestCache:
             else:
                 pytest.skip("this user writes into a 0o555 directory")
             cache = TrialCache(root)
-            results = sweep_set_agreement([3], [0, 2], [0], cache=cache)
-            assert results == sweep_set_agreement([3], [0, 2], [0])
+            grid = set_agreement_grid([3], [0, 2], [0])
+            results = run_trials(grid, cache=cache)
+            assert results == run_trials(grid)
             assert (cache.hits, cache.misses, cache.stores) == (1, 1, 0)
             assert cache.degraded
             cache.close()
@@ -284,26 +286,6 @@ class TestCache:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
-
-
-class TestLegacyFactories:
-    def test_factories_still_run_serially(self):
-        from repro.detectors import OmegaSpec
-
-        results = sweep_extraction(
-            [OmegaSpec], system_sizes=[3], seeds=[0],
-            stabilization_time=40, max_steps=30_000,
-        )
-        assert len(results) == 1 and results[0].legal
-
-    def test_factories_reject_parallel_and_cache(self, tmp_path):
-        from repro.detectors import OmegaSpec
-
-        with pytest.raises(ValueError, match="registry names"):
-            sweep_extraction([OmegaSpec], [3], [0], jobs=2)
-        with pytest.raises(ValueError, match="registry names"):
-            sweep_extraction([OmegaSpec], [3], [0],
-                             cache=TrialCache(tmp_path))
 
 
 class TestMemoryKeys:

@@ -255,6 +255,43 @@ class TestCacheBatching:
         assert roots == [str(cache.root), None]
         assert cache.degraded and cache.stores == 0
 
+    def test_farm_tasks_sent_after_a_degraded_reply_name_no_cache(
+            self, tmp_path, monkeypatch):
+        # The farm worker's counterpart: each claim of two specs goes out
+        # as two tasks at once, and the first claim's replies degrade the
+        # worker's cache, so the later claims must name no cache.
+        from repro.farm import (
+            FarmWorker,
+            SQLiteFarmStore,
+            collect_results,
+            submit_campaign,
+        )
+
+        def disk_full(self, conn):
+            raise sqlite3.OperationalError("database or disk is full")
+
+        monkeypatch.setattr(TrialCache, "_commit", disk_full)
+        roots = []
+
+        class RecordingPool(WorkerPool):
+            def submit(self, task):
+                roots.append(task.cache_root)
+                super().submit(task)
+
+        store = SQLiteFarmStore(tmp_path / "farm.db")
+        submit_campaign(store, SPECS, campaign="degraded")
+        cache = TrialCache(tmp_path / "cache")
+        pool = RecordingPool()
+        try:
+            FarmWorker(store, jobs=2, batch_size=2, cache=cache, pool=pool,
+                       lease_ttl=10.0).drain()
+        finally:
+            pool.shutdown()
+        results, _ = collect_results(store, "degraded")
+        assert results == run_trials(SPECS, jobs=1)
+        assert roots == [str(cache.root)] * 2 + [None] * 4
+        assert cache.degraded and cache.stores == 0
+
 
 class TestSharedCacheFile:
     """Pool workers share one cache file and notice it being replaced."""

@@ -6,41 +6,41 @@ import json
 
 import pytest
 
-from repro.analysis import sweep_extraction, sweep_set_agreement, to_csv
+from repro.analysis import extraction_grid, set_agreement_grid, to_csv
 from repro.cli import main
-from repro.detectors import OmegaSpec
+from repro.perf import run_trials
 
 
 class TestSweeps:
     def test_wait_free_grid(self):
-        results = sweep_set_agreement(
+        results = run_trials(set_agreement_grid(
             system_sizes=[3, 4], seeds=[0, 1], stabilization_times=[0, 40],
-        )
+        ))
         assert len(results) == 2 * 2 * 2
         assert all(r.ok for r in results)
         assert {r.n_processes for r in results} == {3, 4}
 
     def test_f_grid_clamps_to_n(self):
-        results = sweep_set_agreement(
+        results = run_trials(set_agreement_grid(
             system_sizes=[3], seeds=[0], stabilization_times=[0],
             fs=[1, 2, 7],  # 7 > n = 2 is dropped
-        )
+        ))
         assert {r.f for r in results} == {1, 2}
 
     def test_extraction_sweep(self):
-        results = sweep_extraction(
-            [OmegaSpec], system_sizes=[3], seeds=[0, 1],
+        results = run_trials(extraction_grid(
+            ["omega"], system_sizes=[3], seeds=[0, 1],
             stabilization_time=40, max_steps=30_000,
-        )
+        ))
         assert len(results) == 2
         assert all(r.stabilized and r.legal for r in results)
 
 
 class TestCsvExport:
     def test_roundtrip(self):
-        results = sweep_set_agreement(
+        results = run_trials(set_agreement_grid(
             system_sizes=[3], seeds=[0, 1], stabilization_times=[0],
-        )
+        ))
         text = to_csv(results)
         rows = list(csv.DictReader(io.StringIO(text)))
         assert len(rows) == 2
@@ -48,18 +48,18 @@ class TestCsvExport:
         assert rows[0]["ok"] == "True"
 
     def test_frozenset_stringified(self):
-        results = sweep_extraction(
-            [OmegaSpec], system_sizes=[3], seeds=[0],
+        results = run_trials(extraction_grid(
+            ["omega"], system_sizes=[3], seeds=[0],
             stabilization_time=30, max_steps=30_000,
-        )
+        ))
         text = to_csv(results)
         row = next(csv.DictReader(io.StringIO(text)))
         assert row["output"].startswith("{")
 
     def test_file_destination(self, tmp_path):
-        results = sweep_set_agreement(
+        results = run_trials(set_agreement_grid(
             system_sizes=[3], seeds=[0], stabilization_times=[0],
-        )
+        ))
         path = tmp_path / "out.csv"
         to_csv(results, str(path))
         assert path.read_text().startswith("n_processes,")
@@ -73,8 +73,8 @@ class TestCsvExport:
             to_csv([{"a": 1}])
 
     def test_mixed_types_rejected(self):
-        sa = sweep_set_agreement([3], [0], [0])
-        ex = sweep_extraction([OmegaSpec], [3], [0], max_steps=30_000)
+        sa = run_trials(set_agreement_grid([3], [0], [0]))
+        ex = run_trials(extraction_grid(["omega"], [3], [0], max_steps=30_000))
         with pytest.raises(TypeError):
             to_csv(sa + ex)
 
@@ -170,9 +170,27 @@ class TestResilienceFlags:
         ["--trial-timeout", "5"],
         ["--retries", "1", "--jobs", "1"],
     ])
-    def test_check_guards_need_a_parallel_check(self, capsys, flags):
-        assert main(self.CHECK + flags) == 2
-        assert "--jobs 2" in capsys.readouterr().err
+    def test_check_guards_need_a_parallel_check(self, capsys, monkeypatch,
+                                                flags):
+        # Every check runs its shards through run_trials, so the guards
+        # reach it (and act) at --jobs 1 too.
+        from repro.perf import executor
+
+        calls = []
+
+        def recording(specs, **kwargs):
+            calls.append(kwargs)
+            return run_trials(specs, **kwargs)
+
+        monkeypatch.setattr(executor, "run_trials", recording)
+        assert main(self.CHECK + flags) == 0
+        assert "properties: OK" in capsys.readouterr().out
+        given = dict(zip(flags[::2], flags[1::2]))
+        timeout = given.get("--trial-timeout")
+        [kwargs] = calls
+        assert kwargs["jobs"] == int(given.get("--jobs", 1))
+        assert kwargs["retries"] == int(given.get("--retries", 0))
+        assert kwargs["trial_timeout"] == (timeout and float(timeout))
 
     def test_check_has_no_resume_journal(self, capsys, tmp_path):
         journal = tmp_path / "check.journal"
@@ -210,6 +228,45 @@ class TestResilienceFlags:
         assert summary["cache"] == {
             "dir": str(tmp_path / "cache"), "hits": 4, "misses": 0,
         }
+
+
+class TestCountFlags:
+    """``--jobs`` takes a worker count (0 = one per CPU) and
+    ``--batch-size`` a positive size, on every command that has them; a
+    bad value is a usage error naming the flag."""
+
+    SWEEP = ["sweep", "set-agreement", "--sizes", "3", "--seeds", "0-1",
+             "--stabilizations", "0", "--no-cache"]
+    CHECK = ["check", "--protocol", "fig1", "--processes", "2",
+             "--depth", "10"]
+    AUDIT = ["audit", "--budget", "2", "--seed", "7"]
+    WORKER = ["worker"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (SWEEP + ["--jobs", "-1"], "--jobs"),
+        (SWEEP + ["--jobs", "2", "--batch-size", "0"], "--batch-size"),
+        (SWEEP + ["--jobs", "2", "--batch-size", "-2"], "--batch-size"),
+        (CHECK + ["--jobs", "-1"], "--jobs"),
+        (CHECK + ["--jobs", "2", "--batch-size", "0"], "--batch-size"),
+        (AUDIT + ["--jobs", "-1"], "--jobs"),
+        (WORKER + ["--jobs", "-1"], "--jobs"),
+        (WORKER + ["--batch-size", "-2"], "--batch-size"),
+        (WORKER + ["--batch-size", "0"], "--batch-size"),
+    ])
+    def test_a_bad_count_is_a_usage_error(self, capsys, tmp_path, argv,
+                                          flag):
+        if argv[0] == "worker":
+            argv = argv + ["--store", f"sqlite:///{tmp_path / 'farm.db'}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+
+    def test_zero_jobs_is_accepted(self, capsys):
+        assert main(self.CHECK + ["--jobs", "0"]) == 0
+        assert "properties: OK" in capsys.readouterr().out
 
 
 class TestDetectorRegistry:
