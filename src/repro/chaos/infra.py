@@ -3,7 +3,7 @@
 PR 4's chaos layer attacks the *simulated* protocol (lying detectors,
 lossy networks, unfair schedules); this module turns the same pressure
 on the machinery that runs the experiments — the farm store, the trial
-cache, the worker pool, the campaign ledger.  The farm *is* a little
+cache, the campaign ledger.  The farm *is* a little
 distributed system (leases, heartbeats, exactly-once completion), so its
 invariants deserve the same adversarial treatment as the paper's: every
 fault below is drawn from a seeded stream, graded by severity, and kept
@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import os
 import pickle
 import random
-import signal
 import sqlite3
 import tempfile
 import time
@@ -304,16 +302,6 @@ class InfraInjector:
             return True
         return False
 
-    # -- ledger / pool faults ------------------------------------------------
-
-    def tear_ledger(self, path: Union[str, Path]) -> None:
-        self._record("ledger", "tear", "append")
-        tear_ledger_tail(path)
-
-    def kill_pool_worker(self, pool, slot: int = 0) -> int:
-        self._record("pool", "kill", f"slot-{slot}")
-        return kill_pool_worker(pool, slot)
-
 
 class FaultyStore:
     """A :class:`~repro.farm.store.FarmStore` wrapper that injects faults.
@@ -420,22 +408,6 @@ def tear_ledger_tail(path: Union[str, Path]) -> bytes:
     with open(path, "ab") as handle:
         handle.write(fragment)
     return fragment
-
-
-def kill_pool_worker(pool, slot: int = 0) -> int:
-    """SIGKILL one warm-pool worker mid-flight; returns its pid.
-
-    The parent sees the pipe EOF, attributes the death to the worker,
-    recycles the slot in place, and reruns the suspect trials — the
-    recovery path :class:`~repro.perf.pool.WorkerPool` promises.
-    """
-    wids = sorted(pool._workers)
-    if not wids:
-        raise ValueError("pool has no workers to kill")
-    worker = pool._workers[wids[slot % len(wids)]]
-    pid = worker.process.pid
-    os.kill(pid, signal.SIGKILL)
-    return pid
 
 
 # -- the crash-consistency contract ------------------------------------------

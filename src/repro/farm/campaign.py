@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 import uuid
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..perf.cache import TrialCache
@@ -60,11 +61,7 @@ def submit_campaign(
     like the executor's cache-hit path), so only misses cost worker
     time.
     """
-    from ..obs.telemetry import (
-        TrialTelemetry,
-        result_curve_point,
-        result_verdict,
-    )
+    from ..obs.telemetry import cache_hit_telemetry
 
     store = open_store(store)
     campaign = campaign or default_campaign_name()
@@ -85,15 +82,8 @@ def submit_campaign(
             entries.append((position, key, spec, False, None, None))
             continue
         cache_hits += 1
-        stabilization, latency = result_curve_point(hit)
-        telemetry = TrialTelemetry.from_snapshot(
-            key, getattr(spec, "kind", type(spec).__name__),
-            getattr(hit, "metrics", None),
-            spans=(("cache_lookup", per_hit),),
-            ok=result_verdict(hit),
-            stabilization=stabilization, latency=latency,
-        )
-        entries.append((position, key, spec, True, hit, telemetry))
+        entries.append((position, key, spec, True, hit,
+                        cache_hit_telemetry(spec, hit, key, per_hit)))
 
     full_meta = {"engine_version": ENGINE_VERSION}
     full_meta.update(meta or {})
@@ -186,6 +176,7 @@ def run_store_backed(
     bus=None,
     collector=None,
     dispatch=None,
+    pool=None,
 ) -> List[Any]:
     """The ``run_trials(store=...)`` backend: submit → drain → collect.
 
@@ -193,27 +184,37 @@ def run_store_backed(
     at the same store — ``run_trials`` with a shared store URL *is* the
     "submit and help out" mode.  Results come back in input order; the
     contract (quarantined slots ``None``, telemetry merged into
-    ``collector``) matches the local resilient executor exactly.
+    ``collector``) matches the local resilient executor exactly.  Above
+    one job the worker runs on ``pool`` (default: the shared pool), and
+    its pool work is metered into ``dispatch`` as ``run_trials`` meters
+    its own.
     """
     from ..perf.executor import resolve_jobs
+    from ..perf.pool import shared_pool
 
     opened = not isinstance(store, FarmStore)
     store = open_store(store)
     policy = policy or ResiliencePolicy()
     quarantine = quarantine if quarantine is not None else QuarantineReport()
+    jobs = resolve_jobs(jobs)
+    if jobs > 1 and pool is None:
+        pool = shared_pool()
     try:
         submitted = submit_campaign(store, specs, cache=cache)
         worker = FarmWorker(
-            store, jobs=resolve_jobs(jobs), policy=policy, cache=cache,
-            campaign=submitted["campaign"], bus=bus,
+            store, jobs=jobs, policy=policy, cache=cache,
+            campaign=submitted["campaign"], bus=bus, pool=pool,
         )
-        worker.drain()
+        with pool.scoped(dispatch) if jobs > 1 else nullcontext():
+            worker.drain()
         results, _ = collect_results(
             store, submitted["campaign"], collector=collector, bus=bus,
             quarantine=quarantine,
         )
         if dispatch is not None:
-            dispatch.trials += len(results)
+            # Above one job the pool counts the trials it was sent.
+            dispatch.trials += submitted["cache_hits"] if jobs > 1 \
+                else len(results)
         return results
     finally:
         if opened:

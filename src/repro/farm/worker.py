@@ -2,15 +2,17 @@
 
 A :class:`FarmWorker` drains a :class:`~repro.farm.store.FarmStore` in a
 loop — ``claim_batch`` leases a batch of trials, the trials run
-through the **same** batch runner as a local sweep
-(:func:`~repro.perf.pool._execute_batch`: in this process through an
+through the **same** loop as a local sweep
+(:func:`~repro.perf.executor.run_batches`: in this process through an
 :class:`~repro.perf.pool.InlinePool` at ``jobs == 1``, on the warm
 :func:`~repro.perf.pool.shared_pool` when ``jobs > 1``), and the
 outcomes go back with their lease tokens: each reply's results in one
 :meth:`~repro.farm.store.FarmStore.complete_many`, failures one by one
 via :meth:`~repro.farm.store.FarmStore.fail` (which requeues or
 quarantines per the shared
-:class:`~repro.perf.resilience.ResiliencePolicy`).
+:class:`~repro.perf.resilience.ResiliencePolicy`).  A lost batch is
+settled as in a local sweep: its trials re-run alone, uncharged, so
+only the trial that kills a worker (or aborts a batch) is charged.
 
 Unless ``batch_size`` is given, each claim is sized from the worker's
 own wall time per trial in its previous batch, aiming at
@@ -38,11 +40,12 @@ import random
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 from ..perf.cache import TrialCache
-from ..perf.executor import _cache_root, _fold_reply
-from ..perf.pool import InlinePool, WorkerPool, batch_lost, shared_pool
+from ..perf.executor import _pool_session, run_batches
+from ..perf.pool import InlinePool, WorkerPool
 from ..perf.resilience import ResiliencePolicy, TrialFailure
 from .store import FarmStore, LeasedTrial, RetryingStore
 
@@ -240,15 +243,18 @@ class FarmWorker:
                 -1, lease.key[:12], lease.attempts, failure.detail
             ))
 
-    def _settle(self, outcomes: List[Tuple[LeasedTrial, Any, Any]],
-                heartbeat: _Heartbeat) -> None:
-        """Report ``(lease, outcome, telemetry)`` triples.
+    def _settle(self, leases: List[LeasedTrial], heartbeat: _Heartbeat,
+                indices, items) -> Tuple[int, ...]:
+        """Report one reply: ``items`` holds the ``(outcome, telemetry)``
+        pair of ``leases[i]`` for each ``i`` in ``indices``.
 
-        Failures go through ``fail`` one by one; the results are settled
-        in one ``complete_many``.
+        Failures go through ``fail`` one by one, which requeues or
+        quarantines them, so nothing re-runs here; the results are
+        settled in one ``complete_many``.
         """
         done = []
-        for lease, outcome, telemetry in outcomes:
+        for index, (outcome, telemetry) in zip(indices, items):
+            lease = leases[index]
             heartbeat.release(lease.token)
             if isinstance(outcome, TrialFailure):
                 self._fail(lease, outcome)
@@ -272,6 +278,7 @@ class FarmWorker:
                 # Self-test hook: die exactly like a power cut — no
                 # cleanup, leases for the rest of the batch still held.
                 os._exit(CRASH_EXIT_CODE)
+        return ()
 
     # -- execution ---------------------------------------------------------
 
@@ -295,56 +302,30 @@ class FarmWorker:
                 len(tokens),
             )
 
-    def _run(self, leases: List[LeasedTrial],
-             heartbeat: _Heartbeat) -> None:
-        """Run one claim and settle each reply with one ``complete_many``.
+    def _run(self, leases: List[LeasedTrial], heartbeat: _Heartbeat,
+             pool: Optional[WorkerPool] = None) -> None:
+        """Run one claim on ``pool`` (``None``: in this process) through
+        the executor's loop, :func:`~repro.perf.executor.run_batches`.
 
         In-process the claim is one task, so its results reach the cache
-        in one ``put_many``; pooled, it is split into ``jobs`` tasks, and
-        each reply's cache accounting is folded into ``self.cache`` as
-        the executor does: once a worker's writes have failed, later
-        tasks name no cache.  A lost batch (a pool worker death or an
-        aborted reply) fails each of its trials through ``fail``, which
-        retries or quarantines them per the policy.
+        in one ``put_many``; pooled, it is split into ``jobs`` tasks.
+        Each reply is settled by :meth:`_settle`, so a lost batch is
+        handled as in a local sweep: its trials re-run alone, uncharged,
+        and only a lost singleton is failed through ``fail``.
         """
         if heartbeat.lost.is_set():
             self._abandon(heartbeat, leases)
             return
-        if self.jobs > 1:
-            pool = self.pool if self.pool is not None else shared_pool()
-            pool.ensure(self.jobs)
-            pool.limit(self.jobs)
-        else:
-            pool = InlinePool(self.cache)
         chunk = -(-len(leases) // self.jobs)
-        outstanding = 0
-        for start in range(0, len(leases), chunk):
-            part = leases[start:start + chunk]
-            pool.submit(pool.make_task(
-                indices=range(start, start + len(part)),
-                specs=[lease.spec for lease in part],
-                keys=tuple(lease.key for lease in part),
-                observed=True, capture=True,
-                timeout=self.policy.trial_timeout,
-                cache_root=_cache_root(self.cache),
-            ))
-            outstanding += 1
-        try:
-            while outstanding:
-                kind, task, payload = pool.wait()
-                outstanding -= 1
-                lost = batch_lost(kind, payload)
-                if lost is None:
-                    _fold_reply(payload, self.cache)
-                items = payload.items if lost is None else \
-                    [(TrialFailure("error", lost), None)] * len(task.indices)
-                self._settle([
-                    (leases[index], outcome, telemetry)
-                    for index, (outcome, telemetry) in zip(task.indices, items)
-                ], heartbeat)
-        except BaseException:
-            pool.abandon_all()
-            raise
+        run_batches(
+            pool if pool is not None else InlinePool(self.cache),
+            [range(start, min(start + chunk, len(leases)))
+             for start in range(0, len(leases), chunk)],
+            [lease.spec for lease in leases],
+            partial(self._settle, leases, heartbeat),
+            keys=[lease.key for lease in leases], cache=self.cache,
+            observed=True, capture=True, timeout=self.policy.trial_timeout,
+        )
 
     # -- the drain loop ----------------------------------------------------
 
@@ -355,6 +336,10 @@ class FarmWorker:
 
     def drain(self) -> Dict[str, int]:
         """Run until the scope is finished; returns this worker's stats."""
+        # One pool session per drain, opened at its first claim: a
+        # metered drain counts one pool spawn or reuse, like one
+        # run_trials call, and a drain with nothing to claim forks none.
+        pool: Optional[WorkerPool] = None
         heartbeat = _Heartbeat(self.store, self.lease_ttl)
         heartbeat.start()
         idle = 0.0
@@ -375,7 +360,9 @@ class FarmWorker:
                     heartbeat.track([lease.token for lease in leases])
                     before_failed = self.stats["failed"]
                     started = time.perf_counter()
-                    self._run(leases, heartbeat)
+                    if self.jobs > 1 and pool is None:
+                        pool = _pool_session(self.pool, self.jobs, None)
+                    self._run(leases, heartbeat, pool)
                     if self.derive_batch:
                         self.batch_size = self._claim_size(
                             (time.perf_counter() - started) / len(leases)

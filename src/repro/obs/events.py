@@ -292,10 +292,10 @@ class InfraFaultInjected(Event):
 
     Published by :mod:`repro.chaos.infra` when an
     :class:`~repro.chaos.infra.InfraFaultPlan` fires.  ``component``
-    names the wrapped subsystem (``"store"``, ``"cache"``, ``"pool"``,
-    ``"ledger"``); ``kind`` the fault (``"locked"``, ``"enospc"``,
-    ``"truncate"``, ``"kill"``, ``"tear"``); ``op`` the operation it hit
-    (``"claim"``, ``"complete"``, ``"heartbeat"``, ``"put"``…).
+    names the wrapped subsystem (``"store"`` or ``"cache"``); ``kind``
+    the fault (``"locked"``, ``"enospc"``, ``"truncate"``, ``"kill"``);
+    ``op`` the operation it hit (``"claim"``, ``"complete"``,
+    ``"heartbeat"``, ``"put"``…).
     """
 
     component: str

@@ -105,43 +105,6 @@ class TrialTelemetry:
             stabilization=stabilization, latency=latency,
         )
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        key: str,
-        kind: str,
-        snapshot: Optional[Dict[str, Any]],
-        *,
-        spans: Tuple[Tuple[str, float], ...] = (),
-        ok: bool = True,
-        cached: bool = True,
-        seconds: float = 0.0,
-        stabilization: int = -1,
-        latency: int = -1,
-    ) -> "TrialTelemetry":
-        """Rebuild telemetry from a result's stored ``metrics`` snapshot.
-
-        Used for cache hits, where no live registry exists.  Histogram
-        summaries are not re-mergeable and are dropped.
-        """
-        snapshot = snapshot or {}
-        return cls(
-            key=key[:KEY_PREFIX], kind=kind, spans=tuple(spans),
-            counters={
-                name: dict(values)
-                for name, values in snapshot.get("counters", {}).items()
-                if values
-            },
-            gauges={
-                name: dict(values)
-                for name, values in snapshot.get("gauges", {}).items()
-                if values
-            },
-            histograms={},
-            ok=ok, cached=cached, seconds=seconds,
-            stabilization=stabilization, latency=latency,
-        )
-
     # -- relay (parent side) -----------------------------------------------
 
     def merge_into(self, registry: MetricsRegistry) -> None:
@@ -216,6 +179,32 @@ def capture_telemetry(
     return TrialTelemetry.from_registry(
         key, getattr(spec, "kind", type(spec).__name__), registry,
         spans=spans, ok=result_verdict(result), seconds=seconds,
+        stabilization=stabilization, latency=latency,
+    )
+
+
+def cache_hit_telemetry(spec: Any, result: Any, key: str,
+                        seconds: float) -> TrialTelemetry:
+    """A cache hit's payload, rebuilt from the cached result's stored
+    ``metrics`` snapshot (no live registry exists), with its share of
+    the lookup as one ``cache_lookup`` span.  Histogram summaries are
+    not re-mergeable and are dropped."""
+    snapshot = getattr(result, "metrics", None) or {}
+    stabilization, latency = result_curve_point(result)
+    return TrialTelemetry(
+        key=key[:KEY_PREFIX], kind=getattr(spec, "kind", type(spec).__name__),
+        spans=(("cache_lookup", seconds),),
+        counters={
+            name: dict(values)
+            for name, values in snapshot.get("counters", {}).items()
+            if values
+        },
+        gauges={
+            name: dict(values)
+            for name, values in snapshot.get("gauges", {}).items()
+            if values
+        },
+        ok=result_verdict(result), cached=True,
         stabilization=stabilization, latency=latency,
     )
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 import os
 import time as _time
 from collections import deque
+from contextlib import contextmanager
 from typing import Any, List, Optional, Sequence, Union
 
 from .cache import TrialCache
@@ -196,6 +197,8 @@ def run_trials(
         is refused (:class:`StoreJournalConflictError`).
     """
     specs = list(specs)
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     policy = ResiliencePolicy(
         retries=retries, trial_timeout=trial_timeout, backoff=backoff
     )
@@ -210,11 +213,12 @@ def run_trials(
             )
         from ..farm.campaign import run_store_backed
 
-        return run_store_backed(
-            specs, store, jobs=jobs, cache=cache,
-            policy=policy, quarantine=quarantine,
-            bus=bus, collector=collector, dispatch=dispatch,
-        )
+        with _metered(cache, dispatch):
+            return run_store_backed(
+                specs, store, jobs=jobs, cache=cache,
+                policy=policy, quarantine=quarantine,
+                bus=bus, collector=collector, dispatch=dispatch, pool=pool,
+            )
     jobs = resolve_jobs(jobs)
     results: List[Any] = [None] * len(specs)
 
@@ -237,75 +241,66 @@ def run_trials(
     if resilient and quarantine is None:
         quarantine = QuarantineReport()
 
-    cache_rt_base = (
-        (cache.get_round_trips, cache.put_round_trips, cache.stores)
-        if dispatch is not None and cache is not None else None
-    )
-
-    def cached_hit(index: int, spec: TrialSpec, result: Any,
-                   seconds: float) -> None:
-        results[index] = result
-        if relay is not None:
-            from ..obs.telemetry import (
-                TrialTelemetry,
-                result_curve_point,
-                result_verdict,
-            )
-
-            stabilization, latency = result_curve_point(result)
-            relay.record(index, TrialTelemetry.from_snapshot(
-                spec_key(spec), getattr(spec, "kind", type(spec).__name__),
-                getattr(result, "metrics", None),
-                spans=(("cache_lookup", seconds),),
-                ok=result_verdict(result),
-                stabilization=stabilization, latency=latency,
-            ))
-
     try:
-        pending: List[int] = []
-        if cache is not None:
-            # One batched round trip answers the whole grid; per-hit
-            # lookup cost is apportioned evenly into the telemetry span.
-            lookup_start = _time.perf_counter()
-            hits = cache.get_many(specs)
-            per_hit = (_time.perf_counter() - lookup_start) \
-                / max(1, len(specs))
-            for index, (spec, hit) in enumerate(zip(specs, hits)):
-                # Resume triage: journaled keys are done *iff* the cache
-                # still has their result; a cleared cache degrades to a
-                # re-run, and an unjournaled hit is journaled now.
-                if hit is None:
-                    pending.append(index)
-                    continue
-                cached_hit(index, spec, hit, per_hit)
-                if journal is not None:
-                    key = spec_key(spec)
-                    if not journal.is_done(key):
-                        journal.record_done(key)
-        else:
-            pending = list(range(len(specs)))
+        with _metered(cache, dispatch):
+            pending: List[int] = []
+            if cache is not None:
+                # One batched round trip answers the whole grid; per-hit
+                # lookup cost is apportioned evenly into the telemetry span.
+                lookup_start = _time.perf_counter()
+                hits = cache.get_many(specs)
+                per_hit = (_time.perf_counter() - lookup_start) \
+                    / max(1, len(specs))
+                for index, (spec, hit) in enumerate(zip(specs, hits)):
+                    # Resume triage: journaled keys are done *iff* the
+                    # cache still has their result; a cleared cache
+                    # degrades to a re-run, and an unjournaled hit is
+                    # journaled now.
+                    if hit is None:
+                        pending.append(index)
+                        continue
+                    results[index] = hit
+                    if relay is not None:
+                        from ..obs.telemetry import cache_hit_telemetry
 
-        if pending:
-            _run(
-                specs, pending, results, jobs, cache, chunk_size,
-                capture=resilient, policy=policy, journal=journal,
-                quarantine=quarantine, bus=bus, relay=relay,
-                dispatch=dispatch, pool=pool,
-            )
+                        relay.record(index, cache_hit_telemetry(
+                            spec, hit, spec_key(spec), per_hit))
+                    if journal is not None:
+                        key = spec_key(spec)
+                        if not journal.is_done(key):
+                            journal.record_done(key)
+            else:
+                pending = list(range(len(specs)))
+
+            if pending:
+                _run(
+                    specs, pending, results, jobs, cache, chunk_size,
+                    capture=resilient, policy=policy, journal=journal,
+                    quarantine=quarantine, bus=bus, relay=relay,
+                    dispatch=dispatch, pool=pool,
+                )
         if relay is not None:
             relay.finish()
         if dispatch is not None:
             dispatch.trials += len(specs) - len(pending)  # cached ones
-            if cache_rt_base is not None:
-                dispatch.cache_get_round_trips += \
-                    cache.get_round_trips - cache_rt_base[0]
-                dispatch.cache_put_round_trips += \
-                    cache.put_round_trips - cache_rt_base[1]
-                dispatch.cache_stores += cache.stores - cache_rt_base[2]
         return results
     finally:
         if owns_journal:
             journal.close()
+
+
+@contextmanager
+def _metered(cache: Optional[TrialCache],
+             dispatch: Optional[DispatchStats]):
+    """Add the cache round trips and stores made inside to ``dispatch``."""
+    if cache is None or dispatch is None:
+        yield
+        return
+    base = (cache.get_round_trips, cache.put_round_trips, cache.stores)
+    yield
+    dispatch.cache_get_round_trips += cache.get_round_trips - base[0]
+    dispatch.cache_put_round_trips += cache.put_round_trips - base[1]
+    dispatch.cache_stores += cache.stores - base[2]
 
 
 def _pool_session(pool: Optional[WorkerPool], jobs: int,
@@ -340,6 +335,67 @@ def _fold_reply(reply, cache: Optional[TrialCache]) -> None:
             cache.cache_degraded = 1
 
 
+def run_batches(pool, batches, specs, settle, *, keys=None,
+                cache: Optional[TrialCache] = None, **fields) -> None:
+    """Run ``batches`` of indices into ``specs`` on ``pool`` and settle
+    every reply: the one drain loop of :func:`run_trials` and the farm
+    worker.
+
+    Each task carries its specs, their ``keys`` when given, ``fields``
+    (``observed``, ``capture``, ``timeout``) and the root of
+    ``cache`` until it degrades; each reply's cache accounting is folded
+    back into ``cache``.  ``settle(indices, items)`` settles a reply's
+    ``(outcome, telemetry)`` pairs and returns the indices to run again,
+    alone.  A lost batch (a worker death or an aborted reply) raises if
+    its task has no failure protocol (``capture=False``); otherwise a
+    multi-spec batch's culprit is unknown, so its specs re-run alone and
+    uncharged, pinned to the recycled worker after a death, and a lost
+    singleton is settled as a :class:`TrialFailure`.  An
+    :class:`InlinePool` runs one task at a time, so each trial is
+    settled (and a failed one re-run) before the next starts.
+    """
+    def submit(indices, pin: Optional[int] = None) -> None:
+        pool.submit(pool.make_task(
+            indices=indices, specs=[specs[i] for i in indices],
+            keys=tuple(keys[i] for i in indices) if keys else (),
+            cache_root=_cache_root(cache), pin=pin, **fields,
+        ))
+
+    window = 1 if isinstance(pool, InlinePool) else len(batches)
+    todo = deque(batches)
+    outstanding = 0
+    try:
+        while todo or outstanding:
+            while todo and outstanding < window:
+                submit(todo.popleft())
+                outstanding += 1
+            kind, task, payload = pool.wait()
+            outstanding -= 1
+            lost = batch_lost(kind, payload)
+            if lost is None:
+                _fold_reply(payload, cache)
+                rerun = settle(task.indices, payload.items)
+            elif not task.capture:
+                if kind == "died":
+                    raise WorkerCrashError(
+                        f"pool worker died while running a batch of "
+                        f"{len(task.specs)} trial(s)"
+                    )
+                raise payload.error
+            elif len(task.indices) > 1:
+                rerun = task.indices
+            else:
+                rerun = settle(task.indices,
+                               [(TrialFailure("error", lost), None)])
+            pin = payload if kind == "died" else None
+            for i in rerun:
+                submit([i], pin)
+            outstanding += len(rerun)
+    except BaseException:
+        pool.abandon_all()
+        raise
+
+
 def _run(
     specs: List[TrialSpec],
     pending: List[int],
@@ -357,17 +413,14 @@ def _run(
     dispatch: Optional[DispatchStats],
     pool: Optional[WorkerPool],
 ) -> None:
-    """Run the pending specs and settle every reply into ``results``.
+    """Run the pending specs through :func:`run_batches` into ``results``.
 
     Plain mode (``capture=False``) re-raises a trial's exception, and a
     worker death as :class:`WorkerCrashError`.  Resilient mode
     (``capture=True``) runs trials under the watchdog and settles
     failures instead: a failed spec is charged an attempt and re-run
     alone after ``backoff * 2**(attempt - 1)`` seconds, until its
-    ``retries + 1``-th failure quarantines it.  A lost batch (a worker
-    death or an aborted reply) charges a singleton the same way; a
-    multi-spec batch's culprit is unknown, so its specs re-run one at a
-    time, uncharged, pinned to the recycled worker after a death.
+    ``retries + 1``-th failure quarantines it.
     """
     from ..obs.events import TrialQuarantined, TrialRetried, TrialTimedOut
 
@@ -375,14 +428,12 @@ def _run(
     keys = {i: spec_key(specs[i]) for i in pending} if capture else {}
     attempts = dict.fromkeys(pending, 0)
     if jobs <= 1 or (not capture and len(pending) == 1):
-        # In-process: one spec per task and one task at a time, so each
-        # trial is cached and journaled (and a failed one re-run) before
-        # the next starts.  Trials go through this module's
-        # execute_trial, so a hook on it sees each one (perfbench times
-        # serial trials that way).
+        # In-process, one spec per task, so each trial is cached and
+        # journaled before the next starts.  Trials go through this
+        # module's execute_trial, so a hook on it sees each one
+        # (perfbench times serial trials that way).
         pool = InlinePool(cache, execute_trial)
         batches = [[i] for i in pending]
-        window = 1
         if dispatch is not None:
             dispatch.trials += len(pending)
     else:
@@ -394,84 +445,44 @@ def _run(
             [pending[k] for k in chunk]
             for chunk in _chunk_indices(len(pending), jobs, chunk_size)
         ]
-        window = len(batches)
-    def submit(indices: List[int], pin: Optional[int] = None) -> None:
-        pool.submit(pool.make_task(
-            indices=indices, specs=[specs[i] for i in indices],
-            keys=tuple(keys[i] for i in indices) if observed and capture
-            else (),
-            observed=observed, capture=capture,
-            timeout=policy.trial_timeout, cache_root=_cache_root(cache),
-            pin=pin,
-        ))
 
-    def charge(i: int, reason: str, timed_out: bool = False) -> bool:
-        """Count one failed attempt of spec ``i``; False once quarantined."""
-        attempts[i] += 1
-        if timed_out:
-            _publish(bus, TrialTimedOut(-1, keys[i], policy.trial_timeout))
-        if attempts[i] > policy.retries:
+    def settle(indices, items) -> List[int]:
+        """Fill and journal each result and charge each failure an
+        attempt; returns the failures to retry, after their backoff."""
+        retry: List[int] = []
+        for i, (outcome, telemetry) in zip(indices, items):
+            if not isinstance(outcome, TrialFailure):
+                results[i] = outcome
+                if relay is not None:
+                    relay.record(i, telemetry)
+                if journal is not None:
+                    journal.record_done(keys[i])
+                continue
+            attempts[i] += 1
+            reason = outcome.detail
+            if outcome.kind == "timeout":
+                _publish(bus, TrialTimedOut(-1, keys[i], policy.trial_timeout))
+            if attempts[i] <= policy.retries:
+                _publish(bus, TrialRetried(-1, keys[i], attempts[i], reason))
+                retry.append(i)
+                continue
             quarantine.add(i, keys[i], specs[i], attempts[i], reason)
             if journal is not None:
                 journal.record_quarantined(keys[i], reason)
             _publish(bus, TrialQuarantined(-1, keys[i], attempts[i], reason))
-            return False
-        _publish(bus, TrialRetried(-1, keys[i], attempts[i], reason))
-        return True
+        if retry:
+            delay, key = max(
+                (policy.backoff_seconds(attempts[i] - 1), keys[i])
+                for i in retry
+            )
+            if delay > 0:
+                if relay is not None:
+                    relay.span("retry_backoff", delay, key[:12])
+                _time.sleep(delay)
+        return retry
 
-    todo = deque(batches)
-    outstanding = 0
     with pool.scoped(dispatch):
-        try:
-            while todo or outstanding:
-                while todo and outstanding < window:
-                    submit(todo.popleft())
-                    outstanding += 1
-                kind, task, payload = pool.wait()
-                outstanding -= 1
-                lost = batch_lost(kind, payload)
-                if lost is not None and not capture:
-                    if kind == "died":
-                        raise WorkerCrashError(
-                            f"pool worker died while running a batch of "
-                            f"{len(task.specs)} trial(s)"
-                        )
-                    raise payload.error
-                isolate: List[int] = []  # re-run alone, uncharged
-                retry: List[int] = []    # re-run alone after a charge
-                pin = payload if kind == "died" else None
-                if lost is not None:
-                    if len(task.indices) > 1:
-                        isolate = list(task.indices)
-                    elif charge(task.indices[0], lost):
-                        retry.append(task.indices[0])
-                else:
-                    _fold_reply(payload, cache)
-                    for i, (outcome, telemetry) in zip(
-                        task.indices, payload.items
-                    ):
-                        if isinstance(outcome, TrialFailure):
-                            if charge(i, outcome.detail,
-                                      outcome.kind == "timeout"):
-                                retry.append(i)
-                            continue
-                        results[i] = outcome
-                        if relay is not None:
-                            relay.record(i, telemetry)
-                        if journal is not None:
-                            journal.record_done(keys[i])
-                if retry:
-                    delay, key = max(
-                        (policy.backoff_seconds(attempts[i] - 1), keys[i])
-                        for i in retry
-                    )
-                    if delay > 0:
-                        if relay is not None:
-                            relay.span("retry_backoff", delay, key[:12])
-                        _time.sleep(delay)
-                for i in isolate + retry:
-                    submit([i], pin)
-                outstanding += len(isolate) + len(retry)
-        except BaseException:
-            pool.abandon_all()
-            raise
+        run_batches(pool, batches, specs, settle,
+                    keys=keys if observed and capture else None,
+                    cache=cache, observed=observed, capture=capture,
+                    timeout=policy.trial_timeout)

@@ -512,10 +512,6 @@ class WorkerPool:
         held.extend(self._pending)
         self._pending = deque(held)
 
-    def outstanding(self) -> int:
-        busy = sum(1 for w in self._workers.values() if w.task is not None)
-        return busy + len(self._pending)
-
     def abandon_all(self) -> None:
         """Forget queued and in-flight tasks (exception unwinding).
 

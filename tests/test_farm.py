@@ -36,12 +36,14 @@ from repro.obs import MetricsCollector
 from repro.obs.events import FarmLeaseExpired, FarmTrialClaimed
 from repro.obs.metrics import SPAN_METRIC_PREFIX
 from repro.perf import (
+    DispatchStats,
     QuarantineReport,
     ResiliencePolicy,
     SabotagedSpec,
     SetAgreementTrialSpec,
     StoreJournalConflictError,
     TrialCache,
+    WorkerPool,
     run_trials,
     spec_key,
 )
@@ -348,6 +350,22 @@ class TestWorkerDrain:
                 SPECS[:1], store=str(tmp_path / "s.db"),
                 journal=str(tmp_path / "j.jsonl"),
             )
+
+    def test_store_backend_runs_on_the_given_pool_and_meters_it(
+            self, tmp_path):
+        pool = WorkerPool()
+        dispatch = DispatchStats()
+        try:
+            results = run_trials(SPECS, jobs=2, retries=1, pool=pool,
+                                 dispatch=dispatch, store=_store(tmp_path))
+            assert pool.size() == 2
+        finally:
+            pool.shutdown()
+        assert results == run_trials(SPECS, jobs=1)
+        assert (dispatch.pool_spawns, dispatch.pool_reuses) == (1, 0)
+        assert dispatch.worker_spawns == 2
+        assert dispatch.batches > 0 and dispatch.pickle_bytes_out > 0
+        assert dispatch.trials == len(SPECS)
 
     def test_pooled_worker_matches_serial(self, tmp_path):
         store = _store(tmp_path)

@@ -201,6 +201,10 @@ class TestEveryJobsCount:
         finally:
             reset_shared_pool()
 
+    def test_a_non_positive_batch_size_is_refused(self):
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            check(self.INSTANCE, ExploreConfig(max_depth=8), batch_size=0)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_timeout_below_a_shards_run_quarantines_it(self, jobs):
         # One unsharded Fig. 2 exploration takes about 2 s; a 10 ms

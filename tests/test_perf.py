@@ -125,6 +125,16 @@ class TestExecutor:
         with pytest.raises(ValueError):
             _chunk_indices(5, jobs=2, chunk_size=0)
 
+    @pytest.mark.parametrize("chunk_size", [0, -2])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_non_positive_chunk_size_refused_at_every_jobs(self, jobs,
+                                                           chunk_size):
+        # Checked before any trial runs, so an in-process run refuses it
+        # just as a pooled one does.
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            run_trials(set_agreement_grid([3], [0, 1], [0]), jobs=jobs,
+                       chunk_size=chunk_size)
+
     def test_serial_results_in_grid_order(self):
         grid = set_agreement_grid([3], [0, 1, 2], [0])
         results = run_trials(grid, jobs=1)

@@ -3,7 +3,9 @@
 The worker-death path is exercised for real: a sabotaged spec calls
 ``os._exit`` inside the pool worker, the executor requeues the poisoned
 batch, isolates the culprit, and quarantines it — while every surviving
-result keeps its deterministic input-order slot.
+result keeps its deterministic input-order slot.  The ``...OnAStore``
+classes run the lost-batch cases through a farm store too, which must
+charge and quarantine exactly what the local path does.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.chaos import ChaosConfig
+from repro.farm import SQLiteFarmStore
 from repro.obs import MetricsCollector
 from repro.perf import (
     CheckpointJournal,
@@ -135,8 +138,24 @@ class TestSerialResilience:
         assert sum(counters["trial_timeouts"].values()) == 1
 
 
-class TestWorkerDeath:
-    def test_crash_is_retried_then_quarantined_in_order(self):
+@pytest.fixture
+def store():
+    """No farm store: the lost-batch cases run on the local path."""
+    return None
+
+
+class _OnAStore:
+    """Runs the inherited lost-batch cases through a fresh farm store."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = SQLiteFarmStore(tmp_path / "farm.db")
+        yield store
+        store.close()
+
+
+class _WorkerDeathCases:
+    def test_crash_is_retried_then_quarantined_in_order(self, store):
         # Worker death: os._exit(23) inside the pool.  The executor must
         # requeue the poisoned batch, isolate the culprit, quarantine it
         # after `retries + 1` attributable attempts, and keep every
@@ -145,7 +164,7 @@ class TestWorkerDeath:
                  _quick_spec(2), _quick_spec(3)]
         quarantine = QuarantineReport()
         results = run_trials(specs, jobs=2, retries=1,
-                             quarantine=quarantine, backoff=0)
+                             quarantine=quarantine, backoff=0, store=store)
         assert results[1] is None
         assert [r is not None for r in results] == [True, False, True, True]
         assert len(quarantine) == 1
@@ -157,15 +176,17 @@ class TestWorkerDeath:
         clean = run_trials([specs[0], specs[2], specs[3]], jobs=1)
         assert [results[0], results[2], results[3]] == clean
 
-    def test_two_crashers_are_both_isolated(self):
+    def test_two_crashers_are_both_isolated(self, store):
         specs = [_quick_spec(0), _quick_spec(1, sabotage="crash"),
                  _quick_spec(2, sabotage="crash"), _quick_spec(3)]
         quarantine = QuarantineReport()
         results = run_trials(specs, jobs=2, retries=0,
-                             quarantine=quarantine, backoff=0)
+                             quarantine=quarantine, backoff=0, store=store)
         assert [r is not None for r in results] == [True, False, False, True]
         assert [e.index for e in quarantine.entries] == [1, 2]
 
+
+class TestWorkerDeath(_WorkerDeathCases):
     def test_worker_crash_injection_needs_a_pool(self):
         # At --jobs 1 the sabotaged trial would os._exit the CLI itself.
         env = dict(os.environ)
@@ -181,9 +202,13 @@ class TestWorkerDeath:
         assert "--jobs" in proc.stderr
 
 
+class TestWorkerDeathOnAStore(_OnAStore, _WorkerDeathCases):
+    pass
+
+
 class TestAbortedBatch:
     @staticmethod
-    def _run_poisoned(monkeypatch, error, jobs, quarantine):
+    def _run_poisoned(monkeypatch, error, jobs, quarantine, store):
         """Run four specs whose seed-1 trial raises ``error``, which the
         per-spec guard does not catch, on a pool forked after the patch."""
         real = spec_module.execute_trial
@@ -200,19 +225,21 @@ class TestAbortedBatch:
         try:
             return specs, run_trials(specs, jobs=jobs, retries=1,
                                      chunk_size=2, backoff=0,
-                                     quarantine=quarantine, pool=pool)
+                                     quarantine=quarantine, pool=pool,
+                                     store=store)
         finally:
             pool.shutdown()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_aborted_batch_is_blamed_like_a_worker_death(self, jobs,
-                                                         monkeypatch):
+                                                         monkeypatch, store):
         # SystemExit aborts the batch; the culprit's batch mates re-run
         # uncharged, and the culprit is quarantined with the exception
         # named.
         quarantine = QuarantineReport()
         specs, results = self._run_poisoned(
-            monkeypatch, SystemExit("trial called exit"), jobs, quarantine
+            monkeypatch, SystemExit("trial called exit"), jobs, quarantine,
+            store,
         )
         assert [r is not None for r in results] == [True, False, True, True]
         assert [e.index for e in quarantine.entries] == [1]
@@ -223,12 +250,16 @@ class TestAbortedBatch:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_keyboard_interrupt_propagates_uncounted(self, jobs,
-                                                     monkeypatch):
+                                                     monkeypatch, store):
         quarantine = QuarantineReport()
         with pytest.raises(KeyboardInterrupt):
             self._run_poisoned(monkeypatch, KeyboardInterrupt(), jobs,
-                               quarantine)
+                               quarantine, store)
         assert len(quarantine) == 0
+
+
+class TestAbortedBatchOnAStore(_OnAStore, TestAbortedBatch):
+    pass
 
 
 class TestCheckpointJournal:
