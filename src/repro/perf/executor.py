@@ -22,7 +22,9 @@ trips — the ``dispatch_overhead_per_trial`` numbers in BENCH_sweep.json).
 At ``jobs=1`` the same loop drives an
 :class:`~repro.perf.pool.InlinePool` instead, one spec per task, so
 every trial of a sweep runs in :func:`~repro.perf.pool._execute_batch`
-whichever way it is dispatched.
+whichever way it is dispatched.  A farm worker drains its claims through
+the same loop, :func:`run_batches`, and settles the replies into its
+store instead.
 
 **Resilient mode** (any of ``retries``/``trial_timeout``/``journal``/
 ``quarantine`` set) hardens the fan-out against the trials themselves:
