@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="trials claimed per lease round (default: "
                              "sized from measured trial time to ~0.1 s "
-                             "of work, between 2 per job and 64)")
+                             "of work, between 2 and 64 per job)")
     worker.add_argument("--lease-ttl", type=float, default=30.0,
                         metavar="SECONDS",
                         help="lease expiry; a heartbeat renews live "

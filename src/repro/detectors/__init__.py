@@ -16,7 +16,7 @@ from .eventually_perfect import EventuallyPerfectSpec
 from .omega import OmegaSpec
 from .registry import detector_names, make_detector
 from .omega_k import OmegaKSpec, omega_n
-from .upsilon import UpsilonFSpec, UpsilonSpec, gladiators_and_citizens
+from .upsilon import UpsilonFSpec, UpsilonSpec
 
 __all__ = [
     "AntiOmegaSpec",
@@ -33,7 +33,6 @@ __all__ = [
     "UpsilonFSpec",
     "UpsilonSpec",
     "detector_names",
-    "gladiators_and_citizens",
     "make_detector",
     "omega_n",
     "powerset_nonempty",

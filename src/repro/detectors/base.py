@@ -248,11 +248,6 @@ class DetectorSpec:
         return LocallyStableHistory(values, stabilization_time, noise)
 
 
-def as_frozensets(sets: Iterable[Iterable[int]]) -> list[frozenset[int]]:
-    """Normalize an iterable of pid collections to frozensets."""
-    return [frozenset(s) for s in sets]
-
-
 def powerset_nonempty(pids: Sequence[int]) -> Iterable[frozenset[int]]:
     """All non-empty subsets of ``pids`` (2^Π − {∅})."""
     import itertools

@@ -96,14 +96,3 @@ class UpsilonSpec(UpsilonFSpec):
     def __init__(self, system: System):
         super().__init__(Environment.wait_free(system))
         self.name = "Υ"
-
-
-def gladiators_and_citizens(
-    system: System, output: frozenset[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Split ``Π`` by a Υ output: (gladiators = U, citizens = Π − U).
-
-    Terminology of Sect. 5.1: gladiators fight to eliminate one of their
-    values via convergence; citizens simply publish theirs.
-    """
-    return output, system.pid_set - output

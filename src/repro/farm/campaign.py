@@ -5,9 +5,9 @@ in with its **input positions** as row keys, workers drain it in
 whatever order the leases fall, and :func:`collect_results` reassembles
 results *by position* — so a campaign drained by two machines is
 byte-identical to a serial :func:`~repro.perf.executor.run_trials` of
-the same grid, down to the telemetry counters (stored
-:class:`~repro.obs.telemetry.TrialTelemetry` payloads are merged in
-position order through the same
+the same grid, down to the telemetry counters (each row's result and
+its stored :class:`~repro.obs.telemetry.TrialTelemetry` payload are
+merged in position order through the same
 :class:`~repro.obs.telemetry.TelemetryRelay` the executor uses).
 
 The :class:`~repro.perf.cache.TrialCache` is the shared result tier:
@@ -57,11 +57,10 @@ def submit_campaign(
 
     With a cache, the grid is prefiltered in one ``get_many`` round
     trip: hits are enqueued as completed rows (``cached`` flag set, with
-    telemetry rebuilt from the cached result's metrics snapshot, exactly
-    like the executor's cache-hit path), so only misses cost worker
-    time.
+    the same cache-hit telemetry payload as the executor's), so only
+    misses cost worker time.
     """
-    from ..obs.telemetry import cache_hit_telemetry
+    from ..obs.telemetry import trial_telemetry
 
     store = open_store(store)
     campaign = campaign or default_campaign_name()
@@ -82,8 +81,8 @@ def submit_campaign(
             entries.append((position, key, spec, False, None, None))
             continue
         cache_hits += 1
-        entries.append((position, key, spec, True, hit,
-                        cache_hit_telemetry(spec, hit, key, per_hit)))
+        entries.append((position, key, spec, True, hit, trial_telemetry(
+            spec, hit, key, (("cache_lookup", per_hit),))))
 
     full_meta = {"engine_version": ENGINE_VERSION}
     full_meta.update(meta or {})
@@ -108,7 +107,6 @@ def collect_results(
     campaign: str,
     *,
     collector=None,
-    bus=None,
     quarantine: Optional[QuarantineReport] = None,
     strict: bool = True,
 ) -> Tuple[List[Any], Dict[str, int]]:
@@ -120,9 +118,10 @@ def collect_results(
     pending/leased/failed rows raises :class:`CampaignIncompleteError`;
     pass ``strict=False`` to snapshot whatever is finished so far.
 
-    With a ``collector``, every stored telemetry payload is merged into
-    its registry in position order via the executor's own
-    :class:`~repro.obs.telemetry.TelemetryRelay` — a farm campaign then
+    With a ``collector``, every finished row's result and telemetry
+    payload are merged into its registry in position order via the
+    executor's own :class:`~repro.obs.telemetry.TelemetryRelay`, and its
+    summary events published on ``collector.bus`` — a farm campaign then
     reports the same trial-level counters as a ``--jobs 1`` sweep.
     """
     store = open_store(store)
@@ -134,8 +133,7 @@ def collect_results(
     if collector is not None:
         from ..obs.telemetry import TelemetryRelay
 
-        relay = TelemetryRelay(collector.registry,
-                               bus if bus is not None else collector.bus)
+        relay = TelemetryRelay(collector.registry, collector.bus)
 
     results: List[Any] = [None] * len(rows)
     for row in rows:
@@ -161,7 +159,7 @@ def collect_results(
             f"{store.url}) or collect with strict=False"
         )
     if relay is not None:
-        relay.finish()
+        relay.finish(results)
     return results, info
 
 
@@ -184,11 +182,20 @@ def run_store_backed(
     at the same store — ``run_trials`` with a shared store URL *is* the
     "submit and help out" mode.  Results come back in input order; the
     contract (quarantined slots ``None``, telemetry merged into
-    ``collector``) matches the local resilient executor exactly.  Above
-    one job the worker runs on ``pool`` (default: the shared pool), and
-    its pool work is metered into ``dispatch`` as ``run_trials`` meters
-    its own.
+    ``collector``) matches the local resilient executor exactly.  With
+    no ``bus``, the worker's ``TrialRetried``, ``TrialQuarantined`` and
+    ``TrialTimedOut`` events reach ``collector.bus``, as a local run's
+    do; its claim and reap events, labelled by host and pid, do not.
+    Above one job the worker runs on ``pool`` (default: the shared
+    pool), and its pool work is metered into ``dispatch`` as
+    ``run_trials`` meters its own.
     """
+    from ..obs.events import (
+        EventBus,
+        TrialQuarantined,
+        TrialRetried,
+        TrialTimedOut,
+    )
     from ..perf.executor import resolve_jobs
     from ..perf.pool import shared_pool
 
@@ -199,6 +206,10 @@ def run_store_backed(
     jobs = resolve_jobs(jobs)
     if jobs > 1 and pool is None:
         pool = shared_pool()
+    if bus is None and collector is not None:
+        bus = EventBus()
+        bus.subscribe(collector.bus.publish,
+                      (TrialRetried, TrialQuarantined, TrialTimedOut))
     try:
         submitted = submit_campaign(store, specs, cache=cache)
         worker = FarmWorker(
@@ -208,7 +219,7 @@ def run_store_backed(
         with pool.scoped(dispatch) if jobs > 1 else nullcontext():
             worker.drain()
         results, _ = collect_results(
-            store, submitted["campaign"], collector=collector, bus=bus,
+            store, submitted["campaign"], collector=collector,
             quarantine=quarantine,
         )
         if dispatch is not None:

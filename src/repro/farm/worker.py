@@ -16,15 +16,19 @@ only the trial that kills a worker (or aborts a batch) is charged.
 
 Unless ``batch_size`` is given, each claim is sized from the worker's
 own wall time per trial in its previous batch, aiming at
-:data:`CLAIM_TARGET_SECONDS` of work per claim: short trials get large
-claims, so store round trips stop mattering, while long trials keep
-small ones, so several workers still share a small campaign.
+:data:`CLAIM_TARGET_SECONDS` of work per claim and at most
+:data:`MAX_CLAIM` trials per job: short trials get large claims, so
+store round trips stop mattering (and a pooled task carries as many
+trials as an in-process claim), while long trials keep small ones, so
+several workers still share a small campaign.
 
 A background thread heartbeats the live lease tokens every third of the
 TTL, so a slow trial never loses its lease — only a dead worker does.
-Every completion ships its :class:`~repro.obs.telemetry.TrialTelemetry`
-payload into the store, which is what lets the submit side reassemble
-farm metrics exactly like ``sweep --jobs N`` reassembles pool metrics.
+Every completion stores its result (whose ``metrics`` snapshot holds the
+trial's counters and gauges) beside its
+:class:`~repro.obs.telemetry.TrialTelemetry` payload (spans and raw
+histogram samples), which is what lets the submit side reassemble farm
+metrics exactly like ``sweep --jobs N`` reassembles pool metrics.
 
 The worker exits when its scope (one campaign, or the whole store) has
 no claimable or leased rows left; while only *other* workers' live
@@ -61,7 +65,7 @@ HEARTBEAT_MAX_MISSES = 3
 #: Wall-clock work a derived claim aims at.
 CLAIM_TARGET_SECONDS = 0.1
 
-#: Ceiling on a derived claim size.
+#: Ceiling on a derived claim size, per job.
 MAX_CLAIM = 64
 
 
@@ -146,7 +150,8 @@ class FarmWorker:
     pool with the in-worker watchdog, exactly like a resilient local
     sweep.  ``batch_size`` fixes the claim size; by default the first
     claim takes ``max(2, 2·jobs)`` and later ones are derived (see the
-    module docstring), never below that nor above :data:`MAX_CLAIM`.
+    module docstring), never below that nor above
+    ``MAX_CLAIM · jobs``.
     ``crash_after`` is the self-test hook behind
     ``--self-test-crash-after``: hard-exit (``os._exit``) right after
     that many durable completions, mid-batch, leases still held — the
@@ -332,7 +337,7 @@ class FarmWorker:
     def _claim_size(self, seconds_per_trial: float) -> int:
         """Leases for about :data:`CLAIM_TARGET_SECONDS` of work."""
         wanted = CLAIM_TARGET_SECONDS / max(seconds_per_trial, 1e-9)
-        return max(self.min_batch, min(MAX_CLAIM, int(wanted)))
+        return max(self.min_batch, min(MAX_CLAIM * self.jobs, int(wanted)))
 
     def drain(self) -> Dict[str, int]:
         """Run until the scope is finished; returns this worker's stats."""

@@ -46,7 +46,6 @@ from .instances import (
     McInstance,
     build_simulation,
     family_of,
-    instance_inputs,
     instance_properties,
     resolve_instance,
     sweep_instances,
@@ -101,7 +100,6 @@ __all__ = [
     "family_of",
     "fingerprint",
     "independent",
-    "instance_inputs",
     "instance_properties",
     "make_shard_spec",
     "resolve_instance",

@@ -324,12 +324,6 @@ def resolve_instance(instance: McInstance) -> McInstance:
     return dataclasses.replace(instance, stable_value=stable)
 
 
-def instance_inputs(instance: McInstance) -> Dict[int, Any]:
-    family = family_of(instance)
-    system = System(instance.n_processes)
-    return _value_inputs(system) if family.has_inputs else {}
-
-
 def build_simulation(instance: McInstance) -> Simulation:
     """A fresh simulation of the instance (deterministic: equal instances
     build behaviourally identical simulations)."""

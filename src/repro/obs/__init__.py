@@ -13,9 +13,11 @@ shared memory, network — but pays (almost) nothing when nobody listens:
   FD-query mix, emit churn and stabilization times from the trace
   (:meth:`MetricsCollector.record_run`), the rest from the event bus.
 * :mod:`repro.obs.telemetry` — the cross-process relay: workers ship a
-  :class:`TrialTelemetry` payload per trial, and the parent's
-  :class:`TelemetryRelay` merges them in input order, so ``--jobs 4``
-  reports the same counters as ``--jobs 1``.
+  :class:`TrialTelemetry` payload (spans, raw histogram samples) beside
+  each result, and the parent's :class:`TelemetryRelay` merges every
+  trial in input order, its counters and gauges from the result's
+  ``metrics`` snapshot, so ``--jobs 4`` reports the same counters as
+  ``--jobs 1``.
 * :mod:`repro.obs.profile` — wall-clock/step profiling of protocol phases
   and of the engine hot path itself (``python -m repro profile``).
 * :mod:`repro.obs.export` — JSONL event streaming (composes with

@@ -2,12 +2,13 @@
 
 Worker subprocesses in :mod:`repro.perf.executor` run each trial with a
 private :class:`~repro.obs.metrics.MetricsCollector` — their events die
-at the process boundary.  This module is the relay: the worker folds its
-local registry (plus the trial's wall-clock spans) into a picklable
-:class:`TrialTelemetry` value that travels back *alongside* the result,
-and the parent merges every payload into its own registry **in input
-order** and re-publishes harness-level summary events
-(:class:`~repro.obs.events.TrialSpanRecorded`,
+at the process boundary.  This module is the relay.  A trial's counters
+and gauges already travel in its result's ``metrics`` snapshot; what the
+result lacks travels *alongside* it in a picklable :class:`TrialTelemetry`
+value: the trial's wall-clock spans, its raw histogram samples and the
+facts its summary events publish.  The parent merges every trial into
+its own registry **in input order** and re-publishes harness-level
+summary events (:class:`~repro.obs.events.TrialSpanRecorded`,
 :class:`~repro.obs.events.TrialCompleted`) on its bus.
 
 Input-order merging is what makes telemetry deterministic: a ``--jobs 4``
@@ -17,20 +18,20 @@ non-deterministic metrics are the ``span_*_seconds`` histograms — they
 measure the harness itself (queue wait, cache lookup, execute, retry
 backoff), not the trials.
 
-Raw histogram samples are shipped (not summaries) so merged quantiles are
-exact.  Results served from the :class:`~repro.perf.cache.TrialCache`
-carry no live registry; their telemetry is rebuilt from the cached
-result's ``metrics`` snapshot — counters and gauges merge exactly, cached
-histogram *summaries* cannot be re-merged and are skipped.
+Raw histogram samples are shipped because a snapshot keeps only their
+summaries, which cannot be re-merged; merged quantiles are then exact.
+A result served from the :class:`~repro.perf.cache.TrialCache` did not
+run, so its payload carries no samples: its counters and gauges merge
+exactly, its histograms not at all.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .events import EventBus, TrialCompleted, TrialSpanRecorded
-from .metrics import MetricsRegistry, _label_key
+from .metrics import HistogramMetric, MetricsRegistry
 
 #: Short prefix of a spec key used to label telemetry (matches the
 #: ``TrialRetried``/``TrialQuarantined`` convention of key[:12]).
@@ -41,19 +42,17 @@ KEY_PREFIX = 12
 class TrialTelemetry:
     """Picklable observability payload of one finished trial.
 
-    ``counters`` / ``gauges`` use the snapshot representation of
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` (labels already
-    stringified), ``histograms`` carry **raw samples**.  ``spans`` are
-    ``(phase, seconds)`` wall-clock pairs measured around the trial.
+    It holds what the trial's result does not: ``spans``, the
+    ``(phase, seconds)`` wall-clock pairs measured around the trial;
+    ``histograms``, the **raw samples** of its histograms; and the
+    fields its :class:`~repro.obs.events.TrialCompleted` event
+    publishes.  Its counters and gauges are the result's ``metrics``
+    snapshot.
     """
 
     key: str
     kind: str
     spans: Tuple[Tuple[str, float], ...] = ()
-    counters: Dict[str, Dict[str, int]] = dataclasses.field(
-        default_factory=dict)
-    gauges: Dict[str, Dict[str, float]] = dataclasses.field(
-        default_factory=dict)
     histograms: Dict[str, Tuple[float, ...]] = dataclasses.field(
         default_factory=dict)
     ok: bool = True
@@ -62,66 +61,25 @@ class TrialTelemetry:
     stabilization: int = -1
     latency: int = -1
 
-    # -- capture -----------------------------------------------------------
+    def merge_into(self, registry: MetricsRegistry, result: Any) -> None:
+        """Fold this trial into a parent registry.
 
-    @classmethod
-    def from_registry(
-        cls,
-        key: str,
-        kind: str,
-        registry: MetricsRegistry,
-        *,
-        spans: Tuple[Tuple[str, float], ...] = (),
-        ok: bool = True,
-        seconds: float = 0.0,
-        stabilization: int = -1,
-        latency: int = -1,
-    ) -> "TrialTelemetry":
-        """Snapshot a worker-local registry into a shippable payload."""
-        from .metrics import CounterMetric, GaugeMetric, HistogramMetric
-
-        counters: Dict[str, Dict[str, int]] = {}
-        gauges: Dict[str, Dict[str, float]] = {}
-        histograms: Dict[str, Tuple[float, ...]] = {}
-        for metric in registry:
-            if isinstance(metric, CounterMetric):
-                items = metric.items()
-                if items:
-                    counters[metric.name] = {
-                        _label_key(k): v for k, v in items.items()
-                    }
-            elif isinstance(metric, GaugeMetric):
-                items = metric.items()
-                if items:
-                    gauges[metric.name] = {
-                        _label_key(k): v for k, v in items.items()
-                    }
-            elif isinstance(metric, HistogramMetric) and len(metric):
-                histograms[metric.name] = tuple(metric.values())
-        return cls(
-            key=key[:KEY_PREFIX], kind=kind, spans=tuple(spans),
-            counters=counters, gauges=gauges, histograms=histograms,
-            ok=ok, cached=False, seconds=seconds,
-            stabilization=stabilization, latency=latency,
-        )
-
-    # -- relay (parent side) -----------------------------------------------
-
-    def merge_into(self, registry: MetricsRegistry) -> None:
-        """Fold this trial's metric deltas into a parent registry.
-
-        Counters add, histograms extend with the raw samples, gauges
-        overwrite per label — callers must merge payloads in input order
-        for gauge determinism (the executor does).
+        Counters add and gauges overwrite per label, from ``result``'s
+        ``metrics`` snapshot; histograms extend with the raw samples.
+        Callers must merge trials in input order for gauge determinism
+        (the relay does).
         """
-        for name, values in self.counters.items():
-            counter = registry.counter(name)
-            for label, amount in values.items():
-                counter.inc(label, amount)
-        for name, values in self.gauges.items():
-            gauge = registry.gauge(name)
-            for label, value in values.items():
-                gauge.set(value, label)
+        snapshot = getattr(result, "metrics", None) or {}
+        for name, values in snapshot.get("counters", {}).items():
+            if values:
+                counter = registry.counter(name)
+                for label, amount in values.items():
+                    counter.inc(label, amount)
+        for name, values in snapshot.get("gauges", {}).items():
+            if values:
+                gauge = registry.gauge(name)
+                for label, value in values.items():
+                    gauge.set(value, label)
         for name, samples in self.histograms.items():
             histogram = registry.histogram(name)
             for sample in samples:
@@ -165,46 +123,27 @@ def result_curve_point(result: Any) -> Tuple[int, int]:
     )
 
 
-def capture_telemetry(
+def trial_telemetry(
     spec: Any,
     result: Any,
-    registry: MetricsRegistry,
-    *,
-    key: str = "",
-    spans: Tuple[Tuple[str, float], ...] = (),
+    key: str,
+    spans: Tuple[Tuple[str, float], ...],
+    registry: Optional[MetricsRegistry] = None,
     seconds: float = 0.0,
 ) -> TrialTelemetry:
-    """Worker-side capture: registry + result facts → one payload."""
-    stabilization, latency = result_curve_point(result)
-    return TrialTelemetry.from_registry(
-        key, getattr(spec, "kind", type(spec).__name__), registry,
-        spans=spans, ok=result_verdict(result), seconds=seconds,
-        stabilization=stabilization, latency=latency,
-    )
-
-
-def cache_hit_telemetry(spec: Any, result: Any, key: str,
-                        seconds: float) -> TrialTelemetry:
-    """A cache hit's payload, rebuilt from the cached result's stored
-    ``metrics`` snapshot (no live registry exists), with its share of
-    the lookup as one ``cache_lookup`` span.  Histogram summaries are
-    not re-mergeable and are dropped."""
-    snapshot = getattr(result, "metrics", None) or {}
+    """The payload of one trial: ``spans`` measured around it, the raw
+    samples of ``registry``, the registry it ran under, and its verdict
+    and curve point.  A cache hit ran under no registry, so its payload
+    is marked ``cached`` and carries no samples."""
     stabilization, latency = result_curve_point(result)
     return TrialTelemetry(
         key=key[:KEY_PREFIX], kind=getattr(spec, "kind", type(spec).__name__),
-        spans=(("cache_lookup", seconds),),
-        counters={
-            name: dict(values)
-            for name, values in snapshot.get("counters", {}).items()
-            if values
+        spans=spans,
+        histograms={} if registry is None else {
+            metric.name: tuple(metric.values()) for metric in registry
+            if isinstance(metric, HistogramMetric) and len(metric)
         },
-        gauges={
-            name: dict(values)
-            for name, values in snapshot.get("gauges", {}).items()
-            if values
-        },
-        ok=result_verdict(result), cached=True,
+        ok=result_verdict(result), cached=registry is None, seconds=seconds,
         stabilization=stabilization, latency=latency,
     )
 
@@ -214,8 +153,8 @@ class TelemetryRelay:
 
     The executor records each trial's payload under its input index as it
     completes (publishing its summary events immediately, so a live
-    dashboard sees progress), then calls :meth:`finish` once to merge all
-    registries deterministically in input order.
+    dashboard sees progress), then calls :meth:`finish` once with the
+    results to merge every trial deterministically in input order.
     """
 
     def __init__(self, registry: MetricsRegistry,
@@ -235,11 +174,11 @@ class TelemetryRelay:
         if self.bus is not None and self.bus.active:
             self.bus.publish(TrialSpanRecorded(-1, span, seconds, key))
 
-    def finish(self) -> int:
-        """Merge every recorded payload, in input order; returns count."""
-        merged = 0
+    def finish(self, results: List[Any]) -> int:
+        """Merge every recorded trial, in input order, with its result
+        ``results[index]``; returns the count."""
         for index in sorted(self._payloads):
-            self._payloads[index].merge_into(self.registry)
-            merged += 1
+            self._payloads[index].merge_into(self.registry, results[index])
+        merged = len(self._payloads)
         self._payloads.clear()
         return merged

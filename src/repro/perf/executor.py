@@ -172,13 +172,15 @@ def run_trials(
     collector:
         Optional :class:`~repro.obs.metrics.MetricsCollector` — enables
         the **telemetry relay**: every trial (worker or in-process) runs
-        with a private collector whose registry ships back as a
-        :class:`~repro.obs.telemetry.TrialTelemetry` payload, merged into
-        ``collector.registry`` in input order and summarized as
-        ``TrialSpanRecorded`` / ``TrialCompleted`` events on
-        ``collector.bus``.  A ``jobs=4`` run then reports the same
-        trial-level counters as ``jobs=1``.  When ``bus`` is unset,
-        resilience events go to ``collector.bus`` as well.
+        with a private collector.  Its counters and gauges come back in
+        the result's ``metrics`` snapshot, its spans and raw histogram
+        samples in a :class:`~repro.obs.telemetry.TrialTelemetry`
+        payload; both are merged into ``collector.registry`` in input
+        order and summarized as ``TrialSpanRecorded`` /
+        ``TrialCompleted`` events on ``collector.bus``.  A ``jobs=4``
+        run, or a ``store`` run, then reports the same trial-level
+        metrics as ``jobs=1``.  When ``bus`` is unset, the resilience
+        events go to ``collector.bus`` as well.
     dispatch:
         Optional :class:`~repro.perf.pool.DispatchStats` that this call
         fills with its dispatch costs — pool spawns vs. reuses, batch
@@ -263,10 +265,11 @@ def run_trials(
                         continue
                     results[index] = hit
                     if relay is not None:
-                        from ..obs.telemetry import cache_hit_telemetry
+                        from ..obs.telemetry import trial_telemetry
 
-                        relay.record(index, cache_hit_telemetry(
-                            spec, hit, spec_key(spec), per_hit))
+                        relay.record(index, trial_telemetry(
+                            spec, hit, spec_key(spec),
+                            (("cache_lookup", per_hit),)))
                     if journal is not None:
                         key = spec_key(spec)
                         if not journal.is_done(key):
@@ -282,7 +285,7 @@ def run_trials(
                     dispatch=dispatch, pool=pool,
                 )
         if relay is not None:
-            relay.finish()
+            relay.finish(results)
         if dispatch is not None:
             dispatch.trials += len(specs) - len(pending)  # cached ones
         return results

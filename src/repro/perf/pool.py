@@ -201,7 +201,7 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
         execute = spec_module.execute_trial
     if task.observed:
         from ..obs.metrics import MetricsCollector
-        from ..obs.telemetry import capture_telemetry
+        from ..obs.telemetry import trial_telemetry
     dequeued = time.time()
     queue_wait = max(0.0, dequeued - task.submitted_at)
     items: List[Tuple[Any, Any]] = []
@@ -223,13 +223,12 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
             seconds = time.perf_counter() - started
             telemetry = None
             if task.observed and ok:
-                telemetry = capture_telemetry(
-                    spec, outcome, collector.registry,
-                    key=task.keys[position] if task.keys
+                telemetry = trial_telemetry(
+                    spec, outcome,
+                    task.keys[position] if task.keys
                     else spec_module.spec_key(spec),
-                    spans=(("queue_wait", queue_wait),
-                           ("execute", seconds)),
-                    seconds=seconds,
+                    (("queue_wait", queue_wait), ("execute", seconds)),
+                    registry=collector.registry, seconds=seconds,
                 )
             items.append((outcome, telemetry))
             if ok:

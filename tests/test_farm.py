@@ -32,6 +32,7 @@ from repro.farm import (
     submit_campaign,
 )
 from repro.farm.store import CLAIM_SQL
+from repro.farm.worker import MAX_CLAIM
 from repro.obs import MetricsCollector
 from repro.obs.events import FarmLeaseExpired, FarmTrialClaimed
 from repro.obs.metrics import SPAN_METRIC_PREFIX
@@ -456,6 +457,11 @@ class TestWorkerDrain:
     def test_slow_trials_keep_the_default_claim(self, tmp_path, monkeypatch):
         limits = self._claim_limits(tmp_path, monkeypatch, SPECS[:4], 0.11)
         assert set(limits) == {2}
+
+    def test_claim_ceiling_is_per_job(self, tmp_path):
+        """A pooled task may carry as many trials as an in-process claim."""
+        assert FarmWorker(_store(tmp_path), jobs=2)._claim_size(1e-9) \
+            == 2 * MAX_CLAIM
 
     def test_explicit_batch_size_wins(self, tmp_path, monkeypatch):
         limits = self._claim_limits(tmp_path, monkeypatch, SPECS, 0.0,
