@@ -17,12 +17,7 @@ from .diff import (
     first_trace_divergence,
     shrink_replay_schedule,
 )
-from .fuzz import (
-    HAVE_HYPOTHESIS,
-    AuditReport,
-    plan_audit,
-    run_audit,
-)
+from .fuzz import AuditReport, plan_audit, run_audit
 from .oracles import ORACLE_PAIRS, PAIRS_PER_CASE, CaseOutcome, run_case
 from .runner import AuditOutcome, AuditTrialSpec, run_audit_trial
 
@@ -32,7 +27,6 @@ __all__ = [
     "AuditTrialSpec",
     "CaseOutcome",
     "Divergence",
-    "HAVE_HYPOTHESIS",
     "ORACLE_PAIRS",
     "PAIRS_PER_CASE",
     "diff_result_fields",

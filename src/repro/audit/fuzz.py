@@ -8,13 +8,6 @@ through :func:`repro.perf.executor.run_trials` — and folds the outcomes
 into an :class:`AuditReport`, publishing one
 :class:`~repro.obs.events.AuditDivergence` event per break so the
 metrics registry counts them per pair.
-
-When the `hypothesis <https://hypothesis.readthedocs.io>`_ library is
-available, :func:`case_stream` uses its ``Random`` integration-free
-seeded derivation all the same — case parameters are *always* derived
-from ``random.Random(f"audit:{pair}:{seed}:{case}")`` inside the worker,
-so the stdlib fallback and the hypothesis-assisted test-suite strategies
-(:data:`HAVE_HYPOTHESIS` gates those) explore the identical space.
 """
 
 from __future__ import annotations
@@ -27,13 +20,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from .oracles import ORACLE_PAIRS, PAIRS_PER_CASE
 from .runner import AuditOutcome, AuditTrialSpec
-
-try:  # pragma: no cover - exercised indirectly via the test suite
-    import hypothesis  # noqa: F401
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover
-    HAVE_HYPOTHESIS = False
 
 
 @dataclasses.dataclass

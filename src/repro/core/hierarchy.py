@@ -21,15 +21,14 @@ emulate ``a``):
 
 Queries go through :class:`DetectorHierarchy`, which instantiates the zoo
 for one environment and answers ``weaker_than`` / ``strictly_weaker`` /
-``explain`` via graph reachability (networkx).
+``explain`` via graph reachability (networkx, imported when the first
+hierarchy is built, so ``import repro`` does not load it).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from typing import Any, Callable, Dict, List, Optional
-
-import networkx as nx
 
 from ..detectors.anti_omega import AntiOmegaSpec
 from ..detectors.base import DetectorSpec, History
@@ -71,6 +70,8 @@ class DetectorHierarchy:
     """The detector zoo and its weaker-than structure for one environment."""
 
     def __init__(self, env: Environment):
+        import networkx as nx
+
         self.env = env
         self.system = env.system
         self.specs: Dict[str, DetectorSpec] = {}
@@ -187,6 +188,8 @@ class DetectorHierarchy:
         self._check(weaker), self._check(stronger)
         if weaker == stronger:
             return True
+        import networkx as nx
+
         return nx.has_path(self.graph, weaker, stronger)
 
     def strictly_weaker(self, weaker: str, stronger: str) -> bool:
@@ -194,14 +197,12 @@ class DetectorHierarchy:
         separation."""
         if weaker == stronger or not self.weaker_than(weaker, stronger):
             return False
-        path = nx.shortest_path(self.graph, weaker, stronger)
-        return any(
-            self.graph.edges[a, b]["edge"].strict
-            for a, b in zip(path, path[1:])
-        )
+        return any(edge.strict for edge in self.explain(weaker, stronger))
 
     def explain(self, weaker: str, stronger: str) -> List[WeakerThanEdge]:
         """The chain of justifications along one witnessing path."""
+        import networkx as nx
+
         self._check(weaker), self._check(stronger)
         path = nx.shortest_path(self.graph, weaker, stronger)
         return [self.graph.edges[a, b]["edge"] for a, b in zip(path, path[1:])]

@@ -71,7 +71,7 @@ def submit_campaign(
     per_hit = 0.0
     if cache is not None and specs:
         lookup_start = time.perf_counter()
-        hits = cache.get_many(specs)
+        hits = cache.get_many(specs, keys)
         per_hit = (time.perf_counter() - lookup_start) / max(1, len(specs))
 
     entries = []
@@ -183,9 +183,10 @@ def run_store_backed(
     "submit and help out" mode.  Results come back in input order; the
     contract (quarantined slots ``None``, telemetry merged into
     ``collector``) matches the local resilient executor exactly.  With
-    no ``bus``, the worker's ``TrialRetried``, ``TrialQuarantined`` and
-    ``TrialTimedOut`` events reach ``collector.bus``, as a local run's
-    do; its claim and reap events, labelled by host and pid, do not.
+    no ``bus``, the worker's ``TrialRetried``, ``TrialQuarantined``,
+    ``TrialTimedOut`` and ``retry_backoff`` ``TrialSpanRecorded``
+    events reach ``collector.bus``, as a local run's do; its claim and
+    reap events, labelled by host and pid, do not.
     Above one job the worker runs on ``pool`` (default: the shared
     pool), and its pool work is metered into ``dispatch`` as
     ``run_trials`` meters its own.
@@ -194,6 +195,7 @@ def run_store_backed(
         EventBus,
         TrialQuarantined,
         TrialRetried,
+        TrialSpanRecorded,
         TrialTimedOut,
     )
     from ..perf.executor import resolve_jobs
@@ -209,7 +211,8 @@ def run_store_backed(
     if bus is None and collector is not None:
         bus = EventBus()
         bus.subscribe(collector.bus.publish,
-                      (TrialRetried, TrialQuarantined, TrialTimedOut))
+                      (TrialRetried, TrialQuarantined, TrialTimedOut,
+                       TrialSpanRecorded))
     try:
         submitted = submit_campaign(store, specs, cache=cache)
         worker = FarmWorker(

@@ -226,8 +226,9 @@ class FarmWorker:
 
     # -- outcome plumbing --------------------------------------------------
 
-    def _fail(self, lease: LeasedTrial, failure: TrialFailure) -> None:
-        """Report one failed trial against its lease."""
+    def _fail(self, lease: LeasedTrial, failure: TrialFailure) -> str:
+        """Report one failed trial against its lease; returns the store's
+        verdict (``"retry"``, ``"quarantined"`` or ``"stale"``)."""
         from ..obs.events import TrialQuarantined, TrialRetried, TrialTimedOut
 
         if failure.kind == "timeout":
@@ -247,22 +248,25 @@ class FarmWorker:
             self._publish(TrialRetried(
                 -1, lease.key[:12], lease.attempts, failure.detail
             ))
+        return verdict
 
     def _settle(self, leases: List[LeasedTrial], heartbeat: _Heartbeat,
-                indices, items) -> Tuple[int, ...]:
+                retried: List[str], indices, items) -> Tuple[int, ...]:
         """Report one reply: ``items`` holds the ``(outcome, telemetry)``
         pair of ``leases[i]`` for each ``i`` in ``indices``.
 
         Failures go through ``fail`` one by one, which requeues or
-        quarantines them, so nothing re-runs here; the results are
-        settled in one ``complete_many``.
+        quarantines them, so nothing re-runs here (a requeued lease's
+        key is appended to ``retried``); the results are settled in one
+        ``complete_many``.
         """
         done = []
         for index, (outcome, telemetry) in zip(indices, items):
             lease = leases[index]
             heartbeat.release(lease.token)
             if isinstance(outcome, TrialFailure):
-                self._fail(lease, outcome)
+                if self._fail(lease, outcome) == "retry":
+                    retried.append(lease.key)
             else:
                 done.append((lease, outcome, telemetry))
         while done:
@@ -308,9 +312,10 @@ class FarmWorker:
             )
 
     def _run(self, leases: List[LeasedTrial], heartbeat: _Heartbeat,
-             pool: Optional[WorkerPool] = None) -> None:
+             pool: Optional[WorkerPool] = None) -> List[str]:
         """Run one claim on ``pool`` (``None``: in this process) through
-        the executor's loop, :func:`~repro.perf.executor.run_batches`.
+        the executor's loop, :func:`~repro.perf.executor.run_batches`;
+        returns the keys of the leases whose failures were requeued.
 
         In-process the claim is one task, so its results reach the cache
         in one ``put_many``; pooled, it is split into ``jobs`` tasks.
@@ -318,19 +323,21 @@ class FarmWorker:
         handled as in a local sweep: its trials re-run alone, uncharged,
         and only a lost singleton is failed through ``fail``.
         """
+        retried: List[str] = []
         if heartbeat.lost.is_set():
             self._abandon(heartbeat, leases)
-            return
+            return retried
         chunk = -(-len(leases) // self.jobs)
         run_batches(
             pool if pool is not None else InlinePool(self.cache),
             [range(start, min(start + chunk, len(leases)))
              for start in range(0, len(leases), chunk)],
             [lease.spec for lease in leases],
-            partial(self._settle, leases, heartbeat),
+            partial(self._settle, leases, heartbeat, retried),
             keys=[lease.key for lease in leases], cache=self.cache,
             observed=True, capture=True, timeout=self.policy.trial_timeout,
         )
+        return retried
 
     # -- the drain loop ----------------------------------------------------
 
@@ -340,7 +347,13 @@ class FarmWorker:
         return max(self.min_batch, min(MAX_CLAIM * self.jobs, int(wanted)))
 
     def drain(self) -> Dict[str, int]:
-        """Run until the scope is finished; returns this worker's stats."""
+        """Run until the scope is finished; returns this worker's stats.
+
+        After a claim with requeued failures the worker sleeps the
+        policy's backoff and publishes it as a ``retry_backoff`` span.
+        """
+        from ..obs.events import TrialSpanRecorded
+
         # One pool session per drain, opened at its first claim: a
         # metered drain counts one pool spawn or reuse, like one
         # run_trials call, and a drain with nothing to claim forks none.
@@ -363,19 +376,21 @@ class FarmWorker:
                     idle = 0.0
                     self.stats["batches"] += 1
                     heartbeat.track([lease.token for lease in leases])
-                    before_failed = self.stats["failed"]
                     started = time.perf_counter()
                     if self.jobs > 1 and pool is None:
                         pool = _pool_session(self.pool, self.jobs, None)
-                    self._run(leases, heartbeat, pool)
+                    retried = self._run(leases, heartbeat, pool)
                     if self.derive_batch:
                         self.batch_size = self._claim_size(
                             (time.perf_counter() - started) / len(leases)
                         )
-                    if self.stats["failed"] > before_failed:
+                    if retried:
                         delay = self.policy.backoff_seconds(failure_rounds)
                         failure_rounds += 1
                         if delay > 0:
+                            self._publish(TrialSpanRecorded(
+                                -1, "retry_backoff", delay, retried[0][:12]
+                            ))
                             time.sleep(delay)
                     else:
                         failure_rounds = 0

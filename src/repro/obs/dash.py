@@ -31,9 +31,8 @@ import json
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
 from .campaign import CampaignLedger
@@ -41,6 +40,9 @@ from .events import TrialCompleted
 from .export import event_from_dict
 from .metrics import MetricsCollector
 from .prom import render_prometheus
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 #: Raw event lines kept for ``/api/events``.
 _RECENT_EVENTS = 500
@@ -321,6 +323,8 @@ setInterval(tick, 2000);
 
 
 def _make_handler(dash: CampaignDash):
+    from http.server import BaseHTTPRequestHandler
+
     class Handler(BaseHTTPRequestHandler):
         def _send(self, status: int, content_type: str,
                   body: bytes) -> None:
@@ -370,6 +374,8 @@ def _make_handler(dash: CampaignDash):
 def make_server(dash: CampaignDash, host: str = "127.0.0.1",
                 port: int = 8787) -> ThreadingHTTPServer:
     """A ready-to-``serve_forever`` HTTP server over ``dash``."""
+    from http.server import ThreadingHTTPServer
+
     return ThreadingHTTPServer((host, port), _make_handler(dash))
 
 

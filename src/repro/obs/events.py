@@ -223,10 +223,12 @@ class TrialTimedOut(Event):
 class TrialSpanRecorded(Event):
     """One timed phase of a trial's journey through the harness.
 
-    Published by the executor's telemetry relay (``time = -1``).  ``span``
-    is the phase name (``"queue_wait"``, ``"cache_lookup"``, ``"execute"``,
-    ``"retry"``); ``seconds`` its wall-clock duration; ``key`` a short
-    prefix of the trial's spec key (or ``""`` for harness-level spans).
+    Published by the executor's telemetry relay, and a ``retry_backoff``
+    by a farm worker too (``time = -1``).  ``span`` is the phase name
+    (``"queue_wait"``, ``"cache_lookup"``, ``"execute"``,
+    ``"retry_backoff"``); ``seconds`` its wall-clock duration; ``key`` a
+    short prefix of the trial's spec key (or ``""`` for harness-level
+    spans).
     """
 
     span: str

@@ -184,17 +184,21 @@ class TrialCache:
         """The cached result for ``spec``, or ``None`` on a miss."""
         return self.get_many([spec])[0]
 
-    def get_many(self, specs: Sequence[TrialSpec]) -> List[Optional[Any]]:
+    def get_many(self, specs: Sequence[TrialSpec],
+                 keys: Optional[Sequence[str]] = None) -> List[Optional[Any]]:
         """Batched :meth:`get`: one keyed ``SELECT`` for the whole grid.
 
-        Rows are unpickled as the cursor yields them.  Hit/miss/corrupt
-        accounting is per entry, identical to ``len(specs)`` individual
-        :meth:`get` calls.
+        ``keys``, if given, are the specs' :func:`spec_key` values in
+        the same order, so a caller that already holds them does not
+        hash the grid twice.  Rows are unpickled as the cursor yields
+        them.  Hit/miss/corrupt accounting is per entry, identical to
+        ``len(specs)`` individual :meth:`get` calls.
         """
         if not specs:
             return []
         self.get_round_trips += 1
-        keys = [spec_key(spec) for spec in specs]
+        if keys is None:
+            keys = [spec_key(spec) for spec in specs]
         found = {}
         bad = []
         conn = self._connection()
@@ -236,10 +240,13 @@ class TrialCache:
     def _commit(self, conn: sqlite3.Connection) -> None:
         conn.execute("COMMIT")
 
-    def put_many(self, pairs: Iterable[Tuple[TrialSpec, Any]]) -> None:
+    def put_many(self, pairs: Iterable[Tuple[TrialSpec, Any]],
+                 keys: Optional[Sequence[str]] = None) -> None:
         """Batched :meth:`put`: one transaction for a whole batch.
 
-        A failed commit stores none of the batch and degrades the cache.
+        ``keys``, if given, are the specs' :func:`spec_key` values, in
+        the order of ``pairs``.  A failed commit stores none of the
+        batch and degrades the cache.
         """
         if self.degraded:
             return
@@ -250,11 +257,13 @@ class TrialCache:
         conn = self._connection()
         if conn is None:
             return
+        if keys is None:
+            keys = [spec_key(spec) for spec, _ in pairs]
         # Rows are pickled as SQLite consumes them, so a batch never
         # holds all its pickles at once.
         rows = (
-            (spec_key(spec), pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-            for spec, result in pairs
+            (key, pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            for key, (_, result) in zip(keys, pairs)
         )
         try:
             conn.execute("BEGIN IMMEDIATE")

@@ -244,6 +244,10 @@ def run_trials(
         owns_journal = True
     if resilient and quarantine is None:
         quarantine = QuarantineReport()
+    # Each spec is hashed once, here, if anything needs its key: the
+    # cache, the journal, the telemetry or a failure report.
+    keys = [spec_key(spec) for spec in specs] \
+        if cache is not None or relay is not None or resilient else None
 
     try:
         with _metered(cache, dispatch):
@@ -252,10 +256,11 @@ def run_trials(
                 # One batched round trip answers the whole grid; per-hit
                 # lookup cost is apportioned evenly into the telemetry span.
                 lookup_start = _time.perf_counter()
-                hits = cache.get_many(specs)
+                hits = cache.get_many(specs, keys)
                 per_hit = (_time.perf_counter() - lookup_start) \
                     / max(1, len(specs))
-                for index, (spec, hit) in enumerate(zip(specs, hits)):
+                for index, (spec, key, hit) in enumerate(
+                        zip(specs, keys, hits)):
                     # Resume triage: journaled keys are done *iff* the
                     # cache still has their result; a cleared cache
                     # degrades to a re-run, and an unjournaled hit is
@@ -268,18 +273,15 @@ def run_trials(
                         from ..obs.telemetry import trial_telemetry
 
                         relay.record(index, trial_telemetry(
-                            spec, hit, spec_key(spec),
-                            (("cache_lookup", per_hit),)))
-                    if journal is not None:
-                        key = spec_key(spec)
-                        if not journal.is_done(key):
-                            journal.record_done(key)
+                            spec, hit, key, (("cache_lookup", per_hit),)))
+                    if journal is not None and not journal.is_done(key):
+                        journal.record_done(key)
             else:
                 pending = list(range(len(specs)))
 
             if pending:
                 _run(
-                    specs, pending, results, jobs, cache, chunk_size,
+                    specs, keys, pending, results, jobs, cache, chunk_size,
                     capture=resilient, policy=policy, journal=journal,
                     quarantine=quarantine, bus=bus, relay=relay,
                     dispatch=dispatch, pool=pool,
@@ -403,6 +405,7 @@ def run_batches(pool, batches, specs, settle, *, keys=None,
 
 def _run(
     specs: List[TrialSpec],
+    keys: Optional[List[str]],
     pending: List[int],
     results: List[Any],
     jobs: int,
@@ -420,6 +423,8 @@ def _run(
 ) -> None:
     """Run the pending specs through :func:`run_batches` into ``results``.
 
+    ``keys`` are the specs' keys (``None`` when nothing needs them: no
+    cache, no telemetry, plain mode); each task carries its specs' keys.
     Plain mode (``capture=False``) re-raises a trial's exception, and a
     worker death as :class:`WorkerCrashError`.  Resilient mode
     (``capture=True``) runs trials under the watchdog and settles
@@ -430,7 +435,6 @@ def _run(
     from ..obs.events import TrialQuarantined, TrialRetried, TrialTimedOut
 
     observed = relay is not None
-    keys = {i: spec_key(specs[i]) for i in pending} if capture else {}
     attempts = dict.fromkeys(pending, 0)
     if jobs <= 1 or (not capture and len(pending) == 1):
         # In-process, one spec per task, so each trial is cached and
@@ -487,7 +491,6 @@ def _run(
         return retry
 
     with pool.scoped(dispatch):
-        run_batches(pool, batches, specs, settle,
-                    keys=keys if observed and capture else None,
+        run_batches(pool, batches, specs, settle, keys=keys,
                     cache=cache, observed=observed, capture=capture,
                     timeout=policy.trial_timeout)

@@ -138,7 +138,8 @@ class PoolTask:
     original exception in the parent.  ``pin`` routes the task to one
     specific worker slot (isolation after a worker death).  ``keys`` are
     the specs' :func:`~repro.perf.spec.spec_key` values when the caller
-    already holds them, so an observed batch does not recompute them.
+    holds them, so neither the telemetry nor the cache flush hashes a
+    spec again.
     """
 
     task_id: int
@@ -206,6 +207,7 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
     queue_wait = max(0.0, dequeued - task.submitted_at)
     items: List[Tuple[Any, Any]] = []
     store: List[Tuple[Any, Any]] = []
+    keys: List[str] = []
     try:
         for position, spec in enumerate(task.specs):
             collector = MetricsCollector() if task.observed else None
@@ -233,6 +235,8 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
             items.append((outcome, telemetry))
             if ok:
                 store.append((spec, outcome))
+                if task.keys:
+                    keys.append(task.keys[position])
     except BaseException as exc:  # abort the batch; the parent settles it
         return BatchReply(task.task_id, error=exc, dequeued_at=dequeued)
 
@@ -240,7 +244,7 @@ def _execute_batch(task: PoolTask, cache: Optional[TrialCache] = None,
         return BatchReply(task.task_id, items=tuple(items),
                           dequeued_at=dequeued)
     stores, put_round_trips = cache.stores, cache.put_round_trips
-    cache.put_many(store)
+    cache.put_many(store, keys if task.keys else None)
     return BatchReply(
         task.task_id, items=tuple(items), dequeued_at=dequeued,
         cache_stores=cache.stores - stores,

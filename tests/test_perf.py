@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -11,7 +12,9 @@ from repro.analysis import (
     set_agreement_grid,
     to_csv,
 )
+from repro.farm import SQLiteFarmStore
 from repro.perf import (
+    CheckpointJournal,
     ExtractionTrialSpec,
     SetAgreementTrialSpec,
     TrialCache,
@@ -296,6 +299,70 @@ class TestCache:
         assert len(cache) == 1
         assert cache.clear() == 1
         assert len(cache) == 0
+
+    def test_given_keys_address_the_same_rows(self, tmp_path):
+        grid = set_agreement_grid([3], [0, 1], [0, 20])
+        results = run_trials(grid)
+        keys = [spec_key(spec) for spec in grid]
+        TrialCache(tmp_path).put_many(zip(grid, results), keys)
+        cache = TrialCache(tmp_path)
+        assert cache.get_many(grid) == results
+        assert cache.get_many(grid[::-1], keys[::-1]) == results[::-1]
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """The specs ``spec_key`` hashes from here on, in every module that
+    imported it by name (and in ``repro.perf.spec`` itself)."""
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return spec_key(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "spec_key", None) is spec_key:
+            monkeypatch.setattr(module, "spec_key", counting)
+    return calls
+
+
+class TestOneKeyPerSpec:
+    """A run hashes each spec once, however many parts use its key."""
+
+    GRID = set_agreement_grid([3], [0, 1, 2], [0, 20])
+
+    def test_a_cold_cached_run(self, tmp_path, key_calls):
+        results = run_trials(self.GRID, cache=TrialCache(tmp_path))
+        assert results == run_trials(self.GRID)
+        assert len(key_calls) == len(self.GRID)
+
+    def test_a_half_cached_resilient_run(self, tmp_path, key_calls):
+        reference = run_trials(self.GRID)
+        cache = TrialCache(tmp_path / "cache")
+        done = list(zip(self.GRID, reference))[::2]
+        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
+            cache.put_many(done)
+            for spec, _ in done:
+                journal.record_done(spec_key(spec))
+        del key_calls[:]
+        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
+            results = run_trials(self.GRID, cache=cache, journal=journal,
+                                 retries=1)
+        assert results == reference
+        assert (cache.hits, cache.misses) == (len(done),
+                                              len(self.GRID) - len(done))
+        assert len(key_calls) == len(self.GRID)
+
+    def test_a_store_backed_run(self, tmp_path, key_calls):
+        store = SQLiteFarmStore(tmp_path / "farm.db")
+        try:
+            results = run_trials(self.GRID, cache=TrialCache(tmp_path),
+                                 store=store)
+        finally:
+            store.close()
+        assert results == run_trials(self.GRID)
+        assert len(key_calls) == len(self.GRID)
 
 
 class TestMemoryKeys:

@@ -59,6 +59,19 @@ class TestResilienceEvents:
         # claim events are labelled by host and pid: not a trial metric
         assert counters["farm_trials_claimed"] == {}
 
+    def test_a_retry_backoff_is_one_span_on_every_path(
+            self, store, tmp_path):
+        """One flaky spec: a local run settles each trial alone and a
+        store claim its leases together, so a second flaky spec would
+        add a backoff locally but not in the claim they share."""
+        flaky = SabotagedSpec(SPECS[2], f"raise-once:{tmp_path / 'flaked'}")
+        collector = MetricsCollector()
+        run_trials(SPECS[:2] + [flaky], retries=1, backoff=0.01,
+                   collector=collector, store=store)
+        backoff = collector.snapshot()["histograms"][
+            "span_retry_backoff_seconds"]
+        assert (backoff["count"], backoff["max"]) == (1, 0.01)
+
     def test_a_separate_bus_leaves_the_summaries_with_the_collector(
             self, store):
         collector, bus, seen = MetricsCollector(), EventBus(), []
