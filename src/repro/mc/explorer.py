@@ -10,8 +10,9 @@ re-execution of every schedule from scratch:
   cloned).  The stats record counts both (``replays``, ``replay_steps``).
 * **Visited-state deduplication** — states are keyed by their
   :func:`repro.mc.fingerprint.fingerprint`; a branch is pruned when the
-  same state was already expanded no deeper and with a sleep set no
-  larger (the covering condition that keeps sleep sets + caching sound).
+  same state was already expanded no deeper and with a sleep set that is
+  a subset of the revisit's (the covering condition that keeps sleep
+  sets + caching sound).
 * **Sleep-set partial-order reduction**
   (:mod:`repro.mc.reduction`) in time-insensitive states.
 
@@ -185,8 +186,8 @@ class _Frame:
         self.depth = depth
         self.candidates = candidates
         self.index = 0
-        self.sleep = sleep
-        self.executed = []  # (pid, op) per successfully explored sibling
+        self.sleep = sleep  # pid bitmask
+        self.executed = 0  # pid bitmask of siblings explored (POR only)
         self.por = por
         self.cp = None  # checkpoint token (checkpointed DFS only)
 
@@ -225,6 +226,10 @@ class Explorer:
         self._stop = False
         self._dedup = self.config.dedup
         self._journal: Optional[SimulationJournal] = None
+        #: One shared ``(depth, sleep)`` tuple per distinct pair (at most
+        #: ``(max_depth + 1)·2^(n+1)``), so a visited state costs only its
+        #: key and its dict slot.
+        self._entries: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -348,24 +353,30 @@ class Explorer:
             return None
         por = self._reducer.applicable(sim)
         if not por:
-            sleep = frozenset()  # a full expansion covers any sleep set
+            sleep = 0  # a full expansion covers any sleep set
         if self._dedup:
             fp = self._fingerprint(sim)
             if fp is not None:
-                entries = visited.get(fp)
-                if entries is None:
-                    visited[fp] = [(depth, sleep)]
-                else:
+                seen = visited.get(fp)
+                if seen is not None:
+                    entries = seen if type(seen) is list else (seen,)
                     for seen_depth, seen_sleep in entries:
-                        if seen_depth <= depth and seen_sleep <= sleep:
+                        if seen_depth <= depth and not seen_sleep & ~sleep:
                             stats.pruned_visited += 1
                             return None
-                    entries.append((depth, sleep))
+                entry = (depth, sleep)
+                entry = self._entries.setdefault(entry, entry)
+                if seen is None:
+                    visited[fp] = entry
+                elif type(seen) is list:
+                    seen.append(entry)
+                else:
+                    visited[fp] = [seen, entry]
         stats.states_distinct += 1
         reduction = self._reducer.stats
         reduction.enabled += len(eligible)
         if por:
-            candidates = [p for p in eligible if p not in sleep]
+            candidates = [p for p in eligible if not sleep >> p & 1]
             reduction.slept += len(eligible) - len(candidates)
         else:
             candidates = eligible
@@ -396,9 +407,11 @@ class Explorer:
         schedule: List[int] = []
         if not self._run_prefix(sim, schedule):
             return
-        visited: Dict[str, list] = {}
+        # fingerprint -> its one (depth, sleep) entry, or a list of them
+        # once the state came back uncovered.
+        visited: Dict[str, Any] = {}
         frames: List[_Frame] = []
-        root = self._enter(sim, schedule, frozenset(), visited)
+        root = self._enter(sim, schedule, 0, visited)
         if root is not None:
             if journal is not None:
                 root.cp = journal.checkpoint()
@@ -434,14 +447,12 @@ class Explorer:
             self.stats.transitions_explored += 1
             if self._check_step(sim, record, schedule):
                 continue  # don't descend below a violating step
-            frame.executed.append((pid, record.op))
-            child_sleep: frozenset = frozenset()
+            child_sleep = 0
             if frame.por:
-                prior = set(frame.sleep)
-                prior.update(p for p, _ in frame.executed[:-1])
                 child_sleep = self._reducer.child_sleep(
-                    sim, record.op, prior
+                    sim, record.op, frame.sleep | frame.executed
                 )
+                frame.executed |= 1 << pid
             child = self._enter(sim, schedule, child_sleep, visited)
             if child is not None:
                 if journal is not None:

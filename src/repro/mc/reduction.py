@@ -8,7 +8,8 @@ child states drop sleeping processes from their candidate sets as long as
 the executed step stays independent of the sleeper's pending step
 (Godefroid's sleep sets).  Every Mazurkiewicz trace keeps at least one
 representative interleaving, so all terminal states — and all safety
-violations along the way — are preserved.
+violations along the way — are preserved.  A sleep set is a pid bitmask:
+bit ``p`` set means process ``p`` is asleep.
 
 Soundness assumptions (enforced by :meth:`SleepSetReducer.applicable`):
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import weakref
-from typing import FrozenSet, Iterable, Optional
+from typing import Optional
 
 from ..runtime.ops import (
     Broadcast,
@@ -136,21 +137,24 @@ class SleepSetReducer:
         self,
         sim: Simulation,
         executed_op: Operation,
-        prior: Iterable[int],
-    ) -> FrozenSet[int]:
-        """The sleep set below an executed step.
+        prior: int,
+    ) -> int:
+        """The sleep set below an executed step, as a pid bitmask.
 
-        ``prior`` holds the parent's sleepers plus the earlier-explored
-        siblings; a process stays asleep iff it is still schedulable and
-        its pending step is independent of the step just executed.
+        ``prior`` has a bit set for each of the parent's sleepers and each
+        earlier-explored sibling; a process stays asleep iff it is still
+        schedulable and its pending step is independent of the step just
+        executed.
         """
         runtimes = sim.runtimes
-        keep = set()
-        for pid in prior:
-            runtime = runtimes.get(pid)
+        keep = 0
+        while prior:
+            bit = prior & -prior  # lowest set bit
+            prior ^= bit
+            runtime = runtimes.get(bit.bit_length() - 1)
             if runtime is None or not runtime.schedulable:
                 continue
             pending = runtime.pending_op
             if pending is not None and independent(executed_op, pending):
-                keep.add(pid)
-        return frozenset(keep)
+                keep |= bit
+        return keep

@@ -1,5 +1,7 @@
 """The bounded explorer: reduction soundness, ablation bugs, sweeps."""
 
+import tracemalloc
+
 import pytest
 
 from repro.analysis import minimize_schedule
@@ -164,10 +166,15 @@ class TestStatePartitionPinned:
          CrashSweep(1, (0,)), (9207, 3667, 193, 9203, 15896)),
         (McInstance("converge", n_processes=3), 12, None,
          (5141, 2199, 0, 5140, 8823)),
+        # n+1 = 4: the only case whose sleep sets span four processes.
+        (McInstance("fig1", n_processes=4), 12, None,
+         (115494, 61260, 128, 115493, 216932)),
     ]
 
-    @pytest.mark.parametrize("instance, depth, sweep, totals", CASES,
-                             ids=[case[0].protocol for case in CASES])
+    @pytest.mark.parametrize(
+        "instance, depth, sweep, totals", CASES,
+        ids=["fig1", "extraction", "fig2", "converge", "fig1-n4"],
+    )
     def test_totals_unchanged(self, instance, depth, sweep, totals):
         report = check(instance, ExploreConfig(max_depth=depth), sweep=sweep)
         stats, reduction = report.total_stats(), report.total_reduction()
@@ -176,3 +183,21 @@ class TestStatePartitionPinned:
             stats.states_visited, stats.restores, stats.pruned_visited,
             reduction.explored, reduction.enabled,
         ) == totals
+
+
+class TestVisitedStateCost:
+    def test_bytes_per_visited_state(self):
+        """A visited state keeps its fingerprint key and a dict slot; its
+        ``(depth, sleep)`` entry is shared, not built per state."""
+        instance = McInstance("fig2", n_processes=3, f=1, stabilization_time=3)
+        sweep = CrashSweep(1, (0,))
+        # Warm up first, so that lazy imports are not traced.
+        check(instance, ExploreConfig(max_depth=4), sweep=sweep)
+        tracemalloc.start()
+        try:
+            report = check(instance, ExploreConfig(max_depth=12), sweep=sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_state = peak / report.total_stats().states_visited
+        assert per_state < 160, per_state
